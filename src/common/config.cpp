@@ -107,6 +107,12 @@ std::string SystemConfig::validate() const {
   }
   if (noc.vcs_request_vn < 1 || noc.vcs_reply_vn < 1)
     return "each virtual network needs at least one VC";
+  if (noc.vcs_request_vn > kMaxVcsPerVn || noc.vcs_reply_vn > kMaxVcsPerVn)
+    return "each virtual network has at most " + std::to_string(kMaxVcsPerVn) +
+           " VCs";
+  if (noc.vcs_request_vn + noc.vcs_reply_vn > kMaxVcsTotal)
+    return "at most " + std::to_string(kMaxVcsTotal) +
+           " VCs in total (request + reply VN)";
   if (noc.buffer_depth_flits < 1) return "buffers must hold at least 1 flit";
   if (noc.router_stages < 4)
     return "the modelled pipeline is BW/RC, VA, SA, ST: at least 4 stages "

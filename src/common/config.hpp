@@ -109,6 +109,12 @@ struct CircuitConfig {
 };
 
 /// NoC parameters (paper Table 4).
+/// VC-count limits: the NI tracks outstanding flits in a fixed array of
+/// kMaxVcsPerVn slots per VN, and a router's VA request masks hold one bit
+/// per (input port, VC) in 64 bits.
+inline constexpr int kMaxVcsPerVn = 8;
+inline constexpr int kMaxVcsTotal = 64 / kNumDirs;
+
 struct NocConfig {
   int mesh_w = 4;
   int mesh_h = 4;

@@ -195,10 +195,6 @@ bool load_message(StateReader& r, Message* m) {
   m->reply_size_flits = static_cast<int>(reply_size_flits);
   m->circuit_dest = static_cast<NodeId>(circuit_dest);
   m->final_dest = static_cast<NodeId>(final_dest);
-  // ni_memo_gen / ni_hold_until stay at their constructed 0: memos are
-  // invalidated by restore (see header comment).
-  m->ni_memo_gen = 0;
-  m->ni_hold_until = 0;
   return true;
 }
 

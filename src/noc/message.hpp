@@ -140,16 +140,6 @@ struct Message {
 
   CircuitOutcome outcome = CircuitOutcome::None;
 
-  // -- source-NI injection-scan memo (see NetworkInterface) --
-  /// While this matches the owning NI's origin-table generation, the queued
-  /// reply's last failed injection attempt is provably still failing:
-  /// either held for its departure slot until `ni_hold_until`, or (when
-  /// `ni_hold_until` is 0) blocked until a free non-circuit reply VC
-  /// appears. Lets the per-cycle queue scan skip the message exactly,
-  /// without re-running the origin-table lookup. 0 = no memo.
-  std::uint64_t ni_memo_gen = 0;
-  Cycle ni_hold_until = 0;
-
   // -- statistics timestamps --
   Cycle created = 0;    ///< enqueued at the source NI
   Cycle injected = 0;   ///< head flit entered the network
@@ -204,9 +194,7 @@ class StateReader;
 // the writer's shared-object table; flits (raw pointers) write only the id,
 // relying on the MessagePool's pin to have registered the object. On load
 // the reader's registry resolves ids back to one shared Message per id, so
-// aliasing is reconstructed exactly. The NI injection-scan memo fields
-// (ni_memo_gen / ni_hold_until) are deliberately not serialized: restore
-// invalidates memos, which is always safe (they are pure skip hints).
+// aliasing is reconstructed exactly.
 void save_message(StateWriter& w, const Message& m);
 bool load_message(StateReader& r, Message* m);
 void save_msg_ref(StateWriter& w, const MsgPtr& m);

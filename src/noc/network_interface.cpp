@@ -1,5 +1,6 @@
 #include "noc/network_interface.hpp"
 
+#include <bit>
 #include <string>
 
 #include "common/state.hpp"
@@ -32,16 +33,15 @@ void NetworkInterface::wire(Pipe<Flit>* inject, Pipe<Credit>* inject_credits,
 
 void NetworkInterface::send(const MsgPtr& msg, Cycle now) {
   msg->created = now;
-  msg->ni_memo_gen = 0;  // any earlier injection-scan memo is stale
-  VNet vn = vnet_of(msg->type);
-  if (vn == VNet::Request) {
+  if (vnet_of(msg->type) == VNet::Request) {
     msg->path_hops = topo_->hops(id_, msg->dest);
     msg->build_circuit = cfg_.circuit.uses_circuits() &&
                          request_builds_circuit(msg->type);
     msg->reply_size_flits = reply_flits_for_request(msg->type, MessageSizes{});
+    req_q_.push_back(msg);
+  } else {
+    push_reply(msg);
   }
-  if (vn == VNet::Reply) rsum_valid_ = false;
-  q_[static_cast<int>(vn)].push_back({msg, nullptr, 0, 0, kMemoNone});
   wake(now);  // controllers send before the network phase of this cycle
 }
 
@@ -60,25 +60,23 @@ void NetworkInterface::launch_undo(NodeId dest, Addr addr,
 bool NetworkInterface::undo_circuit(NodeId dest, Addr addr, Cycle now,
                                     bool expect_reply) {
   auto it = origins_.find({dest, addr});
-  if (it == origins_.end() || !it->second.present) return false;
+  if (it == origins_.end()) return false;
   Origin& o = it->second;
-  bool was_built = o.status == OriginStatus::Built && !o.undo_deferred();
-  if (!was_built) return false;
-  ++origins_gen_;
+  if (o.status != OriginStatus::Built || o.undo_deferred()) return false;
   if (o.riders > 0) {
     // A scrounger is still injecting: defer the tear-down until its tail
     // flit is in the network (it then stays ahead of the undo for good).
     o.deferred_undo_owners.push_back(o.req_id);
     o.undo_expect_reply = expect_reply;
-    origin_mut(o);
+    touch_origin(dest, addr);
     return true;
   }
   launch_undo(dest, addr, o.req_id, now);
   if (expect_reply) {
     o.status = OriginStatus::Undone;
-    origin_mut(o);
+    touch_origin(dest, addr);
   } else {
-    origin_tomb(o);
+    erase_origin(it);
   }
   return true;
 }
@@ -139,165 +137,190 @@ void NetworkInterface::tick(Cycle now) {
   }
 }
 
+void NetworkInterface::start_stream(VNet vn, MsgPtr msg, int vc,
+                                    bool on_circuit) {
+  Stream& s = stream_[static_cast<int>(vn)];
+  s.msg = std::move(msg);
+  s.next_seq = 0;
+  s.vc = vc;
+  s.on_circuit = on_circuit;
+}
+
 bool NetworkInterface::try_start_packet(VNet vn, Cycle now) {
-  auto& q = q_[static_cast<int>(vn)];
-  // Requests: prepare_injection is message-independent (a free-VC probe
-  // with no side effects), so the whole queue succeeds or fails together —
-  // probing the front element is exactly equivalent to the full scan.
+  int vc = 0;
+  bool on_circuit = false;
+  // Requests: the probe is message-independent (a free-VC probe with no
+  // side effects), so the whole queue succeeds or fails together — probing
+  // the front element is exactly equivalent to the full scan.
   if (vn == VNet::Request) {
-    if (q.empty()) return false;
-    int vc = 0;
-    bool on_circuit = false;
-    if (!prepare_injection(q.front().msg, now, &vc, &on_circuit))
+    if (req_q_.empty() || !pick_free_vc(VNet::Request, false, &vc))
       return false;
-    Stream& s = stream_[static_cast<int>(vn)];
-    s.msg = q.front().msg;
-    s.next_seq = 0;
-    s.vc = vc;
-    s.on_circuit = on_circuit;
-    q.pop_front();
+    start_stream(vn, std::move(req_q_.front()), vc, false);
+    req_q_.pop_front();
     return true;
   }
-  // Replies: per-message state (origin windows) forces a scan, but failed
-  // attempts carry memos so a queued reply is re-examined only when the
-  // origin key it depends on changed, its departure slot opened, or the
-  // resource it blocked on could now be free. The skip conditions reproduce
-  // the memoized attempt's outcome exactly, so the injection order — and
-  // with it every stat — is unchanged.
-  //
-  // Memo validity is per-key: each memo pins the consulted origin map node
-  // (stable across mutations thanks to tombstoning) and its version, so
-  // churn on *other* keys never forces a rescan of the backlog. Scrounging
-  // is the one probe step that reads the whole table; its table-wide
-  // dependence is covered by the scrounge_maybe snapshot below (when a
-  // scrounge could possibly succeed, no VC-blocked reply is skipped).
-  //
+  if (rep_count_ == 0) return false;
+  // Replies whose departure slot has opened must be probed again.
+  while (!rep_held_.empty() && rep_held_.front().first <= now) {
+    const auto [hold, seq] = rep_held_.front();
+    std::pop_heap(rep_held_.begin(), rep_held_.end(), std::greater<>{});
+    rep_held_.pop_back();
+    if (seq < rep_lo_) continue;
+    const RSlot& r = rslot(seq);
+    if (!r.msg || r.state != RState::Held || r.hold != hold) continue;
+    detach_reply(seq);
+    file_reply(seq, Probe::Busy, 0);
+  }
+  // Per-scan snapshot: nothing a failing probe touches can change
+  // outstanding_ (credits drain earlier in the tick) and origins only
+  // disappear mid-scan, so it stays conservative. When a scrounge could
+  // possibly succeed, the scrounge walk reads the whole origin table, so
+  // every parked reply is visited.
   const bool scrounge_on = cfg_.circuit.reuse &&
                            cfg_.circuit.mode == CircuitMode::Complete &&
                            !cfg_.circuit.is_timed();
-  // Whole-scan fast path: the last scan skipped or failed every entry, no
-  // origin of this NI mutated since, no entry needs an unconditional
-  // re-probe, no held entry's slot has opened, and (when some entry is
-  // VC-blocked) no reply VC it could use has freed. Each conjunct
-  // reproduces the corresponding per-entry skip below, so the outcome —
-  // nothing injectable — is exact.
-  if (rsum_valid_ && origin_ver_ == rsum_ver_ && !rsum_has_none_ &&
-      now < rsum_hold_) {
-    if (!rsum_has_vcb_) return false;
-    int v = 0;
-    if (!pick_free_vc(VNet::Reply, false, &v) &&
-        !(scrounge_on && live_origins_ != 0 &&
-          pick_free_vc(VNet::Reply, true, &v)))
-      return false;
-  }
-  // Purge tombstones once they dominate the table. Queued memos pin map
-  // nodes by pointer, so collect the pinned set and erase only unpinned
-  // tombstones — every surviving memo stays valid and a purge can never
-  // trigger a re-probe storm. The trigger includes the queue length
-  // (pinned nodes survive, and the backlog can legitimately pin one node
-  // each), so the steady-state population never sits at the threshold.
-  if (origins_.size() >
-      2 * static_cast<std::size_t>(live_origins_) + q.size() + 64) {
-    std::vector<const Origin*> pinned;
-    pinned.reserve(q.size());
-    for (std::size_t k = 0; k < q.size(); ++k)
-      if (q[k].kind != kMemoNone && q[k].okey != nullptr)
-        pinned.push_back(q[k].okey);
-    std::sort(pinned.begin(), pinned.end());
-    for (auto pit = origins_.begin(); pit != origins_.end();) {
-      if (!pit->second.present &&
-          !std::binary_search(pinned.begin(), pinned.end(), &pit->second))
-        pit = origins_.erase(pit);
-      else
-        ++pit;
-    }
-  }
-  // Per-scan constants: nothing a failing prepare_injection touches can
-  // change outstanding_ (credits drain earlier in the tick) and live
-  // origins only disappear mid-scan, so these snapshots stay conservative.
-  int plain_vc = 0;
-  const bool plain_free = pick_free_vc(VNet::Reply, false, &plain_vc);
-  int circ_vc = 0;
-  const bool scrounge_maybe = scrounge_on && live_origins_ != 0 &&
-                              pick_free_vc(VNet::Reply, true, &circ_vc);
-  Cycle sum_hold = kNeverCycle;
-  bool sum_none = false;
-  bool sum_vcb = false;
-  for (std::size_t k = 0; k < q.size(); ++k) {
-    QEntry& e = q[k];
-    if (e.kind != kMemoNone &&
-        (e.okey == nullptr || e.okey->ver == e.over)) {
-      if (e.kind == kMemoHeld) {
-        if (now < e.hold) {  // still held for its slot
-          sum_hold = std::min(sum_hold, e.hold);
-          continue;
-        }
-      } else if (!plain_free && !scrounge_maybe) {
-        sum_vcb = true;
-        continue;  // still blocked on a free non-circuit reply VC
+  const bool visit_parked =
+      pick_free_vc(VNet::Reply, false, &vc) ||
+      (scrounge_on && !origins_.empty() && pick_free_vc(VNet::Reply, true, &vc));
+  // Walk the probe set (plus the parked set) in arrival order. A probe can
+  // wake waiters further on; re-reading each bitmap word after every probe
+  // picks them up in this same scan. The first word starts at rep_lo_: its
+  // lower bits may belong to seqs one ring length on.
+  for (std::uint64_t base = rep_lo_ & ~63ull; base < rep_hi_; base += 64) {
+    const std::size_t w = (base & (rep_.size() - 1)) >> 6;
+    for (int from = static_cast<int>(std::max(base, rep_lo_) - base);
+         from < 64;) {
+      const std::uint64_t bits = (rep_probe_[w] |
+                                  (visit_parked ? rep_park_[w] : 0)) &
+                                 (~0ull << from);
+      if (bits == 0) break;
+      from = std::countr_zero(bits);
+      const std::uint64_t seq = base + static_cast<std::uint64_t>(from++);
+      detach_reply(seq);
+      RSlot& r = rslot(seq);
+      Cycle hold = 0;
+      const Probe p = probe_reply(r.msg, now, &vc, &on_circuit, &hold);
+      if (p != Probe::Ok) {
+        file_reply(seq, p, hold);
+        continue;
       }
+      start_stream(vn, std::move(r.msg), vc, on_circuit);
+      --rep_count_;
+      while (rep_lo_ < rep_hi_ && !rslot(rep_lo_).msg) ++rep_lo_;
+      return true;
     }
-    int vc = 0;
-    bool on_circuit = false;
-    if (!prepare_injection(e.msg, now, &vc, &on_circuit)) {
-      // ni_memo_gen == origins_gen_ iff one of the two memoizing fail
-      // sites executed during *this* probe (each stamps the current gen,
-      // and nothing bumps the gen after stamping).
-      if (e.msg->ni_memo_gen == origins_gen_) {
-        if (e.msg->ni_hold_until != 0) {
-          e.kind = kMemoHeld;
-          sum_hold = std::min(sum_hold, e.msg->ni_hold_until);
-        } else {
-          e.kind = kMemoVcBlocked;
-          sum_vcb = true;
-        }
-        e.hold = e.msg->ni_hold_until;
-        e.okey = last_probe_okey_;
-        e.over = e.okey != nullptr ? e.okey->ver : 0;
-      } else {
-        e.kind = kMemoNone;
-        sum_none = true;
-      }
-      continue;
-    }
-    Stream& s = stream_[static_cast<int>(vn)];
-    s.msg = e.msg;
-    s.next_seq = 0;
-    s.vc = vc;
-    s.on_circuit = on_circuit;
-    q.erase_at(k);
-    rsum_valid_ = false;  // queue composition changed
-    return true;
   }
-  rsum_valid_ = true;
-  rsum_ver_ = origin_ver_;
-  rsum_hold_ = sum_hold;
-  rsum_has_none_ = sum_none;
-  rsum_has_vcb_ = sum_vcb;
   return false;
 }
 
-bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
-                                         int* vc, bool* on_circuit) {
-  *on_circuit = false;
-  if (!msg->is_reply()) return pick_free_vc(VNet::Request, false, vc);
+void NetworkInterface::push_reply(MsgPtr msg) {
+  if (rep_hi_ - rep_lo_ == rep_.size()) grow_replies();
+  const std::uint64_t seq = rep_hi_++;
+  rslot(seq) = RSlot{};
+  rslot(seq).msg = std::move(msg);
+  set_bit(rep_probe_, seq, true);
+  ++rep_count_;
+}
 
-  // Reply path: consult the circuit origin table.
+void NetworkInterface::grow_replies() {
+  std::vector<RSlot> old = std::move(rep_);
+  rep_.assign(std::max<std::size_t>(64, 2 * old.size()), RSlot{});
+  rep_probe_.assign(rep_.size() / 64, 0);
+  rep_park_.assign(rep_.size() / 64, 0);
+  wait_heads_.assign(rep_.size(), kNoSeq);
+  for (std::uint64_t seq = rep_lo_; seq < rep_hi_; ++seq) {
+    RSlot& r = rslot(seq);
+    r = std::move(old[seq & (old.size() - 1)]);
+    if (!r.msg) continue;
+    set_bit(rep_probe_, seq, r.state == RState::Probe);
+    set_bit(rep_park_, seq, r.state == RState::Parked);
+    if (r.waiting) link_waiter(seq);
+  }
+}
+
+void NetworkInterface::detach_reply(std::uint64_t seq) {
+  set_bit(rep_probe_, seq, false);
+  set_bit(rep_park_, seq, false);
+  if (rslot(seq).waiting) unlink_waiter(seq);
+}
+
+void NetworkInterface::file_reply(std::uint64_t seq, Probe p, Cycle hold) {
+  RSlot& r = rslot(seq);
+  switch (p) {
+    case Probe::Held:
+      r.state = RState::Held;
+      r.hold = hold;
+      rep_held_.emplace_back(hold, seq);
+      std::push_heap(rep_held_.begin(), rep_held_.end(), std::greater<>{});
+      break;
+    case Probe::VcBlocked:
+      r.state = RState::Parked;
+      set_bit(rep_park_, seq, true);
+      break;
+    default:  // Busy: not memoizable, probe again next scan
+      r.state = RState::Probe;
+      set_bit(rep_probe_, seq, true);
+      return;
+  }
+  // The probe consulted the reply's origin key exactly when it is eligible
+  // for a circuit; the wait then lasts only while that key is unchanged.
+  if (cfg_.circuit.uses_circuits() && reply_circuit_eligible(r.msg->type))
+    link_waiter(seq);
+}
+
+std::uint64_t& NetworkInterface::wait_head(NodeId dest, Addr addr) {
+  const std::uint64_t h = (addr ^ (static_cast<std::uint64_t>(dest) << 40)) *
+                          0x9E3779B97F4A7C15ull;
+  return wait_heads_[(h ^ (h >> 29)) & (wait_heads_.size() - 1)];
+}
+
+void NetworkInterface::link_waiter(std::uint64_t seq) {
+  RSlot& r = rslot(seq);
+  std::uint64_t& head = wait_head(r.msg->dest, r.msg->addr);
+  r.prev = kNoSeq;
+  r.next = head;
+  if (head != kNoSeq) rslot(head).prev = seq;
+  head = seq;
+  r.waiting = true;
+}
+
+void NetworkInterface::unlink_waiter(std::uint64_t seq) {
+  RSlot& r = rslot(seq);
+  (r.prev != kNoSeq ? rslot(r.prev).next
+                    : wait_head(r.msg->dest, r.msg->addr)) = r.next;
+  if (r.next != kNoSeq) rslot(r.next).prev = r.prev;
+  r.waiting = false;
+}
+
+void NetworkInterface::touch_origin(NodeId dest, Addr addr) {
+  if (wait_heads_.empty()) return;
+  for (std::uint64_t seq = wait_head(dest, addr); seq != kNoSeq;) {
+    RSlot& r = rslot(seq);
+    const std::uint64_t next = r.next;
+    if (r.msg->dest == dest && r.msg->addr == addr) {
+      detach_reply(seq);
+      file_reply(seq, Probe::Busy, 0);
+    }
+    seq = next;
+  }
+}
+
+void NetworkInterface::erase_origin(std::map<OriginKey, Origin>::iterator it) {
+  const OriginKey key = it->first;
+  origins_.erase(it);
+  touch_origin(key.first, key.second);
+}
+
+NetworkInterface::Probe NetworkInterface::probe_reply(const MsgPtr& msg,
+                                                      Cycle now, int* vc,
+                                                      bool* on_circuit,
+                                                      Cycle* hold) {
+  *on_circuit = false;
+  // Consult the circuit origin table.
   bool wants_circuit = false;
-  last_probe_okey_ = nullptr;
   if (cfg_.circuit.uses_circuits() && reply_circuit_eligible(msg->type)) {
     auto it = origins_.find({msg->dest, msg->addr});
-    if (it == origins_.end()) {
-      // Versioned absence: record a tombstone so a failure memo can depend
-      // on "no origin for this key" and stay valid until the key changes.
-      // Semantically nothing changed (absent before and after), so
-      // origins_gen_ is not bumped.
-      it = origins_.try_emplace(std::make_pair(msg->dest, msg->addr)).first;
-      it->second.present = false;
-      origin_mut(it->second);
-    }
-    last_probe_okey_ = &it->second;
-    if (it->second.present) {
+    if (it != origins_.end()) {
       Origin& o = it->second;
       switch (o.status) {
         case OriginStatus::Built:
@@ -307,12 +330,8 @@ bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
             break;
           }
           if (now < o.depart_min) {
-            // Hold for the slot (§4.7). Until the table changes, retrying
-            // before depart_min reproduces this exact outcome — memoize so
-            // the queue scan can skip the held reply.
-            msg->ni_memo_gen = origins_gen_;
-            msg->ni_hold_until = o.depart_min;
-            return false;
+            *hold = o.depart_min;  // hold for the slot (§4.7)
+            return Probe::Held;
           }
           if (now > o.depart_max) {
             // Missed the reserved window: tear the circuit down and fall
@@ -326,25 +345,24 @@ bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
           break;
         case OriginStatus::Failed:
           msg->outcome = CircuitOutcome::Failed;
-          ++origins_gen_;
-          origin_tomb(o);
+          erase_origin(it);
           break;
         case OriginStatus::Undone:
           msg->outcome = CircuitOutcome::Undone;
-          ++origins_gen_;
-          origin_tomb(o);
+          erase_origin(it);
           break;
       }
     }
   }
 
   if (wants_circuit) {
-    if (!pick_free_vc(VNet::Reply, /*circuit_class=*/true, vc)) return false;
+    if (!pick_free_vc(VNet::Reply, /*circuit_class=*/true, vc))
+      return Probe::Busy;
     *on_circuit = true;
     msg->on_circuit = true;
     msg->circuit_dest = msg->dest;
     msg->circuit_addr = msg->addr;
-    return true;
+    return Probe::Ok;
   }
 
   // §4.5: a circuit-less reply may scrounge a complete, untimed circuit
@@ -352,9 +370,8 @@ bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
   if (cfg_.circuit.reuse && cfg_.circuit.mode == CircuitMode::Complete &&
       !cfg_.circuit.is_timed() && msg->dest != id_) {
     int best = topo_->hops(id_, msg->dest);
-    const std::pair<NodeId, Addr>* best_key = nullptr;
+    const OriginKey* best_key = nullptr;
     for (const auto& [key, o] : origins_) {
-      if (!o.present) continue;
       if (o.status != OriginStatus::Built || o.partial || o.undo_deferred())
         continue;
       int h = topo_->hops(key.first, msg->dest);
@@ -364,10 +381,8 @@ bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
       }
     }
     if (best_key && pick_free_vc(VNet::Reply, true, vc)) {
-      ++origins_gen_;
-      Origin& ride = origins_.find(*best_key)->second;
-      ++ride.riders;
-      origin_mut(ride);
+      ++origins_.find(*best_key)->second.riders;
+      touch_origin(best_key->first, best_key->second);
       msg->scrounging = true;
       msg->final_dest = msg->dest;
       msg->dest = best_key->first;
@@ -377,20 +392,15 @@ bool NetworkInterface::prepare_injection(const MsgPtr& msg, Cycle now,
       msg->outcome = CircuitOutcome::Scrounged;
       *on_circuit = true;
       ++scrounge_rides_;
-      return true;
+      return Probe::Ok;
     }
   }
 
-  if (!pick_free_vc(VNet::Reply, false, vc)) {
-    // Blocked on a free non-circuit reply VC. The path to this point is
-    // free of (non-idempotent) side effects, so while the origin table is
-    // unchanged and no such VC frees up, retrying reproduces this failure
-    // — memoize (ni_hold_until 0 marks the VC-blocked flavour).
-    msg->ni_memo_gen = origins_gen_;
-    msg->ni_hold_until = 0;
-    return false;
-  }
-  return true;
+  // Blocked on a free non-circuit reply VC. The path to this point is free
+  // of side effects when repeated, so the failure stands until such a VC
+  // frees (or a scrounge becomes possible) or the origin key changes.
+  if (!pick_free_vc(VNet::Reply, false, vc)) return Probe::VcBlocked;
+  return Probe::Ok;
 }
 
 bool NetworkInterface::pick_free_vc(VNet vn, bool circuit_class,
@@ -430,10 +440,8 @@ void NetworkInterface::inject_flit(Stream& s, Cycle now) {
     q_lat_[rep]->add(static_cast<double>(now - msg->created));
     if (msg->is_reply()) {
       if (s.on_circuit && !msg->scrounging) {
-        ++origins_gen_;
         auto uit = origins_.find({msg->dest, msg->addr});
-        if (uit != origins_.end() && uit->second.present)
-          origin_tomb(uit->second);
+        if (uit != origins_.end()) erase_origin(uit);
         ++origin_used_;
       }
       if (reply_injected_) reply_injected_(msg, s.on_circuit);
@@ -445,11 +453,9 @@ void NetworkInterface::inject_flit(Stream& s, Cycle now) {
   if (f.is_tail()) {
     if (msg->scrounging) {
       auto it = origins_.find({msg->circuit_dest, msg->circuit_addr});
-      if (it != origins_.end() && it->second.present &&
-          it->second.riders > 0) {
+      if (it != origins_.end() && it->second.riders > 0) {
         Origin& o = it->second;
-        ++origins_gen_;
-        origin_mut(o);
+        touch_origin(msg->circuit_dest, msg->circuit_addr);
         if (--o.riders == 0 && o.undo_deferred()) {
           for (std::uint64_t owner : o.deferred_undo_owners)
             launch_undo(msg->circuit_dest, msg->circuit_addr, owner, now);
@@ -457,7 +463,7 @@ void NetworkInterface::inject_flit(Stream& s, Cycle now) {
           if (o.undo_expect_reply) {
             o.status = OriginStatus::Undone;
           } else {
-            origin_tomb(o);
+            erase_origin(it);
           }
         }
       }
@@ -493,16 +499,14 @@ void NetworkInterface::handle_request_delivered(const MsgPtr& msg, Cycle now) {
   }
   auto key = std::make_pair(msg->src, msg->addr);
   auto it = origins_.find(key);
-  if (it != origins_.end() && it->second.present &&
-      it->second.status == OriginStatus::Built) {
+  if (it != origins_.end() && it->second.status == OriginStatus::Built) {
     // A circuit for this (requestor, line) identity already exists (e.g. a
     // write-back and a re-fetch in flight together). The first reply will
     // consume the existing circuit; tear the duplicate instance down.
     if (!msg->circuit_ok) return;  // nothing was built for the new request
     if (it->second.riders > 0) {
-      ++origins_gen_;
       it->second.deferred_undo_owners.push_back(msg->id);
-      origin_mut(it->second);
+      touch_origin(key.first, key.second);
     } else {
       launch_undo(msg->src, msg->addr, msg->id, now);
     }
@@ -510,17 +514,8 @@ void NetworkInterface::handle_request_delivered(const MsgPtr& msg, Cycle now) {
     return;
   }
   o.req_id = msg->id;
-  ++origins_gen_;
-  // Insert in place, preserving the node's version chain (the slot may be
-  // a tombstone some queued memo still pins).
-  auto ins = origins_.try_emplace(key);
-  Origin& slot = ins.first->second;
-  const bool was_live = !ins.second && slot.present;
-  const std::uint64_t v = slot.ver;
-  slot = o;
-  slot.ver = v;
-  origin_mut(slot);
-  if (!was_live) ++live_origins_;
+  origins_.insert_or_assign(key, std::move(o));
+  touch_origin(key.first, key.second);
   if (msg->circuit_ok) {
     stats_->acc("lat_circuit_setup")
         .add(static_cast<double>(now - msg->injected));
@@ -537,9 +532,7 @@ void NetworkInterface::finish_delivery(const MsgPtr& msg, Cycle now) {
     msg->scrounging = false;
     msg->on_circuit = false;
     msg->circuit_dest = kInvalidNode;
-    msg->ni_memo_gen = 0;  // new destination: any scan memo is stale
-    rsum_valid_ = false;
-    q_[static_cast<int>(VNet::Reply)].push_back({msg, nullptr, 0, 0, kMemoNone});
+    push_reply(msg);
     return;
   }
   classify_delivered(msg);
@@ -593,8 +586,15 @@ void NetworkInterface::classify_delivered(const MsgPtr& msg) {
 
 void NetworkInterface::save(StateWriter& w) const {
   for (int vn = 0; vn < kNumVNets; ++vn) {
-    w.u64(q_[vn].size());
-    for (const QEntry& e : q_[vn]) save_msg_ref(w, e.msg);
+    if (vn == static_cast<int>(VNet::Request)) {
+      w.u64(req_q_.size());
+      for (const MsgPtr& m : req_q_) save_msg_ref(w, m);
+    } else {
+      w.u64(rep_count_);
+      for (std::uint64_t seq = rep_lo_; seq < rep_hi_; ++seq)
+        if (const MsgPtr& m = rep_[seq & (rep_.size() - 1)].msg)
+          save_msg_ref(w, m);
+    }
     const Stream& s = stream_[vn];
     save_msg_ref(w, s.msg);
     w.i64(s.next_seq);
@@ -607,8 +607,6 @@ void NetworkInterface::save(StateWriter& w) const {
   for (const auto& [key, o] : origins_) {
     w.i64(key.first);
     w.u64(key.second);
-    w.b(o.present);
-    w.u64(o.ver);
     w.u8(static_cast<std::uint8_t>(o.status));
     w.b(o.partial);
     w.u64(o.depart_min);
@@ -619,21 +617,22 @@ void NetworkInterface::save(StateWriter& w) const {
     for (std::uint64_t id : o.deferred_undo_owners) w.u64(id);
     w.b(o.undo_expect_reply);
   }
-  w.u64(origin_ver_);
-  w.i64(live_origins_);
-  w.u64(origins_gen_);
 }
 
 bool NetworkInterface::load(StateReader& r) {
+  // Snapshots restore into a freshly constructed System.
+  RC_ASSERT(pending() == 0 && origins_.empty(), "NI state loads into a fresh NI");
   for (int vn = 0; vn < kNumVNets; ++vn) {
     std::uint64_t n;
     if (!r.u64(&n)) return false;
-    q_[vn].clear();
     for (std::uint64_t i = 0; i < n; ++i) {
-      QEntry e{nullptr, nullptr, 0, 0, kMemoNone};
-      if (!load_msg_ref(r, &e.msg)) return false;
-      if (!e.msg) return r.fail("null message in NI injection queue");
-      q_[vn].push_back(std::move(e));
+      MsgPtr m;
+      if (!load_msg_ref(r, &m)) return false;
+      if (!m) return r.fail("null message in NI injection queue");
+      if (vn == static_cast<int>(VNet::Request))
+        req_q_.push_back(std::move(m));
+      else
+        push_reply(std::move(m));  // every restored reply starts probe-due
     }
     Stream& s = stream_[vn];
     std::int64_t seq, vc;
@@ -653,7 +652,6 @@ bool NetworkInterface::load(StateReader& r) {
   }
   std::uint64_t n;
   if (!r.u64(&n)) return false;
-  origins_.clear();
   for (std::uint64_t i = 0; i < n; ++i) {
     std::int64_t node, riders;
     Addr addr;
@@ -661,9 +659,9 @@ bool NetworkInterface::load(StateReader& r) {
     if (!(r.i64(&node) && r.u64(&addr))) return false;
     Origin& o = origins_[{static_cast<NodeId>(node), addr}];
     std::uint64_t nd;
-    if (!(r.b(&o.present) && r.u64(&o.ver) && r.u8(&status) &&
-          r.b(&o.partial) && r.u64(&o.depart_min) && r.u64(&o.depart_max) &&
-          r.i64(&riders) && r.u64(&o.req_id) && r.u64(&nd)))
+    if (!(r.u8(&status) && r.b(&o.partial) && r.u64(&o.depart_min) &&
+          r.u64(&o.depart_max) && r.i64(&riders) && r.u64(&o.req_id) &&
+          r.u64(&nd)))
       return false;
     if (status > static_cast<std::uint8_t>(OriginStatus::Undone))
       return r.fail("origin status out of range");
@@ -674,13 +672,6 @@ bool NetworkInterface::load(StateReader& r) {
       if (!r.u64(&id)) return false;
     if (!r.b(&o.undo_expect_reply)) return false;
   }
-  std::int64_t live;
-  if (!(r.u64(&origin_ver_) && r.i64(&live) && r.u64(&origins_gen_)))
-    return false;
-  live_origins_ = static_cast<int>(live);
-  // Memos and the scan summary are skip hints only: drop them.
-  last_probe_okey_ = nullptr;
-  rsum_valid_ = false;
   return true;
 }
 

@@ -4,7 +4,7 @@
 // of the circuit is also stored in the network interface where the circuit
 // starts"):
 //  * when a circuit-building request is delivered here, an origin record is
-//    created (or a tombstone, when the reservation failed en route);
+//    created (marked failed when the reservation failed en route);
 //  * the reply consults that record at injection: ride the circuit within
 //    its departure window, or undo it (§4.4/§4.7) and go packet-switched;
 //  * circuit-less replies may scrounge another message's circuit (§4.5);
@@ -86,33 +86,23 @@ class NetworkInterface : public Ticker {
   NodeId node() const { return id_; }
   /// Messages queued or mid-injection at this NI.
   std::size_t pending() const {
-    return q_[0].size() + q_[1].size() + (stream_[0].active() ? 1 : 0) +
+    return req_q_.size() + rep_count_ + (stream_[0].active() ? 1 : 0) +
            (stream_[1].active() ? 1 : 0);
   }
   StatSet& stats() { return *stats_; }
 
-  /// Snapshot save/load: injection queues, streams, outstanding-flit
-  /// counters and the full origin table (tombstones included — purge timing
-  /// depends on the tombstone population, so the table must round-trip
-  /// exactly). Queue-scan memos and the whole-scan summary are NOT saved:
-  /// restore invalidates them, which is always safe (they are pure skip
-  /// hints; the next scan re-probes and reproduces the same outcome).
+  /// Snapshot save/load: injection queues (in arrival order), streams,
+  /// outstanding-flit counters and the origin table. Where each queued
+  /// reply waits (held heap, parked set, key wait lists) is NOT saved:
+  /// restore puts every reply back in the probe set, which is always safe —
+  /// a wait only skips probes that would fail without side effects, so the
+  /// next scan re-probes and reproduces the same outcomes.
   void save(StateWriter& w) const;
   bool load(StateReader& r);
 
  private:
   enum class OriginStatus : std::uint8_t { Built, Failed, Undone };
   struct Origin {
-    /// Tombstone flag: erased origins keep their map node (so queue-scan
-    /// memos can hold stable pointers) with present=false; every reader
-    /// treats !present exactly like a missing key. Unpinned tombstones are
-    /// purged once they dominate the table.
-    bool present = true;
-    /// Bumped (from origin_ver_) on every semantic mutation of this key,
-    /// including tombstoning and resurrection. A queue-scan memo recording
-    /// (pointer, ver) stays valid while the version matches, so mutations
-    /// of *other* keys no longer force a rescan of the whole reply backlog.
-    std::uint64_t ver = 0;
     OriginStatus status = OriginStatus::Built;
     bool partial = false;  ///< fragmented: not every router reserved
     Cycle depart_min = 0;
@@ -130,6 +120,7 @@ class NetworkInterface : public Ticker {
     bool undo_expect_reply = false;
     bool undo_deferred() const { return !deferred_undo_owners.empty(); }
   };
+  using OriginKey = std::pair<NodeId, Addr>;
   struct Stream {  // one packet being injected, per VN
     MsgPtr msg;
     int next_seq = 0;
@@ -137,15 +128,22 @@ class NetworkInterface : public Ticker {
     bool on_circuit = false;
     bool active() const { return msg != nullptr; }
   };
+  /// Outcome of one reply injection probe. Held and VcBlocked are the
+  /// memoizable failures: repeating the probe reproduces them, without side
+  /// effects, until the reply's origin key mutates or (Held) the departure
+  /// slot opens or (VcBlocked) a reply VC frees.
+  enum class Probe : std::uint8_t { Ok, Held, VcBlocked, Busy };
 
   void handle_request_delivered(const MsgPtr& msg, Cycle now);
   void finish_delivery(const MsgPtr& msg, Cycle now);
   bool try_start_packet(VNet vn, Cycle now);
-  /// Whether (and how) the queued message could start injecting now.
-  /// May mutate origin state (window-miss undo happens here).
-  bool prepare_injection(const MsgPtr& msg, Cycle now, int* vc,
-                         bool* on_circuit);
+  /// Whether (and how) a queued reply could start injecting now; `*hold`
+  /// is the departure slot of a Held result. May mutate origin state
+  /// (window-miss undo, consuming a failed or undone origin, scrounging).
+  Probe probe_reply(const MsgPtr& msg, Cycle now, int* vc, bool* on_circuit,
+                    Cycle* hold);
   bool pick_free_vc(VNet vn, bool circuit_class, int* vc) const;
+  void start_stream(VNet vn, MsgPtr msg, int vc, bool on_circuit);
   void inject_flit(Stream& s, Cycle now);
   void launch_undo(NodeId dest, Addr addr, std::uint64_t owner, Cycle now);
   void classify_delivered(const MsgPtr& msg);
@@ -166,40 +164,76 @@ class NetworkInterface : public Ticker {
   std::function<void(const MsgPtr&, bool)> reply_injected_;
   NocObserver* obs_ = nullptr;
 
-  /// Injection queues: inline rings so the steady-state enqueue/dequeue of
-  /// messages performs no heap allocation (deep backlogs grow once and keep
-  /// the capacity).
-  /// One queued message plus an inline memo of its last failed injection
-  /// probe. The skip test in try_start_packet reads only this slot (plus
-  /// the memoed origin's version word), so walking a deep reply backlog
-  /// stays cache-linear instead of dereferencing every queued message and
-  /// re-probing it whenever any origin changed.
-  ///
-  /// kind kMemoHeld: the reply is held for its departure slot until `hold`.
-  /// kind kMemoVcBlocked: blocked until a non-circuit reply VC frees (or a
-  /// scrounge candidate appears). Either memo additionally depends on the
-  /// probed origin key's state: valid only while okey (nullptr when the
-  /// probe consulted no origin) still carries version `over`. Memoed
-  /// pointers stay valid across tombstone purges because the purge skips
-  /// pinned nodes (see try_start_packet).
-  struct QEntry {  // aggregate: no NSDMIs, so the ring can instantiate it
-    MsgPtr msg;    // while NetworkInterface is still incomplete; push sites
-    const Origin* okey;  // always supply every field.
-    std::uint64_t over;
-    Cycle hold;
-    std::uint8_t kind;
-  };
-  static constexpr std::uint8_t kMemoNone = 0;
-  static constexpr std::uint8_t kMemoHeld = 1;
-  static constexpr std::uint8_t kMemoVcBlocked = 2;
-  InlineRing<QEntry, 8> q_[kNumVNets];
+  /// Request injection queue: an inline ring, so the steady-state
+  /// enqueue/dequeue performs no heap allocation.
+  InlineRing<MsgPtr, 8> req_q_;
   Stream stream_[kNumVNets];
   int rr_vn_ = 0;  ///< round-robin over VN streams for the 1 flit/cycle link
 
+  // ---- reply queue (DESIGN.md §14) ----
+  // Every queued reply carries an arrival sequence number and lives in the
+  // structure matching its last probe result:
+  //  * probe set (rep_probe_ bit): never probed or last result Busy —
+  //    probed on every scan;
+  //  * held heap (rep_held_): Held until a slot cycle — moved to the probe
+  //    set when the slot opens;
+  //  * parked set (rep_park_ bit): VcBlocked — visited only by scans that
+  //    see a free non-circuit reply VC or a possible scrounge.
+  // A held or parked reply whose probe consulted its origin key also sits
+  // on that key's wait list; every origin mutation (touch_origin) moves
+  // the key's waiters back to the probe set. A scan walks the probe set
+  // (plus the parked set) in arrival order; first success wins.
+  //
+  // Storage is flat: replies sit in a power-of-two ring indexed by
+  // seq & mask covering the live sequence window [rep_lo_, rep_hi_), the
+  // two sets are bitmaps over the same ring, and wait lists are chains of
+  // ring slots (linked by seq) hanging off a bucket array hashed by key;
+  // a touch wakes only the chain members whose key matches.
+  static constexpr std::uint64_t kNoSeq = ~0ull;
+  enum class RState : std::uint8_t { Probe, Held, Parked };
+  struct RSlot {
+    MsgPtr msg;  ///< null: no queued reply has this slot's seq
+    Cycle hold = 0;
+    std::uint64_t prev = kNoSeq, next = kNoSeq;  ///< key wait-list links
+    RState state = RState::Probe;
+    bool waiting = false;  ///< linked on its origin key's wait chain
+  };
+  std::vector<RSlot> rep_;
+  std::vector<std::uint64_t> rep_probe_, rep_park_;
+  std::uint64_t rep_lo_ = 0, rep_hi_ = 0;
+  std::size_t rep_count_ = 0;
+  /// Min-heap of (slot cycle, seq); entries no longer held are skipped.
+  std::vector<std::pair<Cycle, std::uint64_t>> rep_held_;
+  /// Wait-chain heads, one bucket per ring slot (rebuilt when it grows).
+  std::vector<std::uint64_t> wait_heads_;
+
+  RSlot& rslot(std::uint64_t seq) { return rep_[seq & (rep_.size() - 1)]; }
+  void set_bit(std::vector<std::uint64_t>& bits, std::uint64_t seq, bool on) {
+    const std::uint64_t i = seq & (rep_.size() - 1);
+    if (on)
+      bits[i >> 6] |= 1ull << (i & 63);
+    else
+      bits[i >> 6] &= ~(1ull << (i & 63));
+  }
+  void push_reply(MsgPtr msg);
+  /// File a reply (already detached) in the probe set, held heap or parked
+  /// set according to its last probe result.
+  void file_reply(std::uint64_t seq, Probe p, Cycle hold);
+  /// Take a reply out of whatever set or wait list it is in.
+  void detach_reply(std::uint64_t seq);
+  void grow_replies();
+  std::uint64_t& wait_head(NodeId dest, Addr addr);
+  void link_waiter(std::uint64_t seq);
+  void unlink_waiter(std::uint64_t seq);
+  /// The origin for (dest, addr) mutated: every reply waiting on it goes
+  /// back to the probe set.
+  void touch_origin(NodeId dest, Addr addr);
+  void erase_origin(std::map<OriginKey, Origin>::iterator it);
+
   /// Outstanding flits per (vn, vc) in the router's local input buffer;
   /// a VC accepts a new packet only when it has fully drained.
-  std::array<int, kNumVNets * 8> outstanding_{};
-  int out_idx(int vn, int vc) const { return vn * 8 + vc; }
+  std::array<int, kNumVNets * kMaxVcsPerVn> outstanding_{};
+  int out_idx(int vn, int vc) const { return vn * kMaxVcsPerVn + vc; }
   std::uint64_t* inject_flits_ = nullptr;
 
   // Lazily cached pointers into the string-keyed StatSet for the
@@ -223,44 +257,7 @@ class NetworkInterface : public Ticker {
   LazyCounter origin_duplicate_;
   LazyCounter scrounge_rides_;
 
-  std::map<std::pair<NodeId, Addr>, Origin> origins_;
-  std::uint64_t origin_ver_ = 0;   ///< source for Origin::ver stamps
-  int live_origins_ = 0;           ///< present (non-tombstone) entries
-  /// Origin node the most recent prepare_injection consulted (tombstones
-  /// are created on miss so absence is versioned too); nullptr when the
-  /// probe never touched the origin table.
-  const Origin* last_probe_okey_ = nullptr;
-
-  void origin_mut(Origin& o) { o.ver = ++origin_ver_; }
-
-  /// Whole-scan summary for the reply queue: recorded when a scan ends
-  /// with nothing injectable, so the next tick can reproduce "nothing
-  /// injectable" from a handful of compares instead of walking the
-  /// backlog. Valid only while no origin of this NI mutated (origin_ver_
-  /// unchanged — every memoed okey's version is then provably unchanged
-  /// too) and the queue composition is unchanged (pushes clear it; pops
-  /// only happen on a successful scan, which also clears it).
-  bool rsum_valid_ = false;
-  std::uint64_t rsum_ver_ = 0;
-  Cycle rsum_hold_ = kNeverCycle;  ///< min hold among held entries
-  bool rsum_has_none_ = false;     ///< some entry must be probed every scan
-  bool rsum_has_vcb_ = false;      ///< some entry waits on a reply VC
-  /// Tombstone a present entry: clears the payload (riders, deferred undos)
-  /// so every present-guarded reader behaves exactly as after an erase.
-  void origin_tomb(Origin& o) {
-    const std::uint64_t v = o.ver;
-    o = Origin{};
-    o.present = false;
-    o.ver = v;
-    origin_mut(o);
-    --live_origins_;
-  }
-  /// Bumped on every origins_ mutation (insert/erase/field change); queued
-  /// replies carry failure memos stamped with this generation so the
-  /// injection scan can skip them while the table is provably unchanged
-  /// (see try_start_packet). Starts at 1 so a fresh Message (gen 0) never
-  /// matches.
-  std::uint64_t origins_gen_ = 1;
+  std::map<OriginKey, Origin> origins_;
 };
 
 }  // namespace rc

@@ -35,7 +35,10 @@ namespace rc {
 class System;
 struct SystemConfig;
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Bumped whenever a section's layout changes; only the current version is
+/// read. 2: the NI section no longer carries origin tombstones, per-key
+/// versions or the scan-memo generation.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr const char kSnapshotMagic[9] = "RCSNAP01";
 
 /// Every SystemConfig field as a (dotted-name, value) pair, in declaration

@@ -73,6 +73,34 @@ TEST(Validate, RejectsZeroSlackOnSlackVariants) {
   EXPECT_NE(cfg.validate(), "");
 }
 
+TEST(Validate, RejectsVcCountsPastTheNiAndRouterLimits) {
+  // The NI tracks kMaxVcsPerVn VCs per VN; a router's VA masks hold one bit
+  // per (port, VC) in 64 bits, so kMaxVcsTotal VCs in all.
+  SystemConfig cfg = make_system_config(16, "Baseline", "fft");
+  cfg.noc.vcs_request_vn = kMaxVcsPerVn;
+  cfg.noc.vcs_reply_vn = kMaxVcsTotal - kMaxVcsPerVn;
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.noc.vcs_request_vn = kMaxVcsPerVn + 1;
+  cfg.noc.vcs_reply_vn = 2;
+  EXPECT_NE(cfg.validate().find("at most 8 VCs"), std::string::npos);
+  cfg.noc.vcs_request_vn = 2;
+  cfg.noc.vcs_reply_vn = kMaxVcsPerVn + 1;
+  EXPECT_NE(cfg.validate().find("at most 8 VCs"), std::string::npos);
+  cfg.noc.vcs_request_vn = 7;
+  cfg.noc.vcs_reply_vn = 6;
+  EXPECT_NE(cfg.validate().find("at most 12 VCs in total"), std::string::npos);
+}
+
+TEST(Validate, LargestLegalVcCountRuns) {
+  SystemConfig cfg = make_system_config(16, "Complete_NoAck", "fft");
+  cfg.noc.vcs_request_vn = kMaxVcsPerVn;
+  cfg.noc.vcs_reply_vn = kMaxVcsTotal - kMaxVcsPerVn;
+  cfg.warmup_cycles = 200;
+  cfg.measure_cycles = 800;
+  ASSERT_EQ(cfg.validate(), "");
+  EXPECT_GT(run_config(cfg, "vcs_8_4").retired, 0u);
+}
+
 // --------------------------------------------------------------- histogram
 TEST(HistogramTest, CountsAndBuckets) {
   Histogram h;

@@ -163,7 +163,10 @@ TEST(SnapshotRejection, TruncationAnywhereFailsTheChecksum) {
   std::remove("snap_cut.state");
 }
 
-TEST(SnapshotRejection, FutureFormatVersionIsRefused) {
+/// Save a snapshot, rewrite its format version to `version` (re-sealing
+/// the checksum so the rejection is about the version, not corruption) and
+/// check that loading refuses it.
+void expect_version_refused(std::uint32_t version) {
   const SystemConfig cfg = combo_config(TopologyKind::Mesh,
                                         Protocol::FullMapMESI, /*seed=*/5);
   System sys(cfg);
@@ -173,12 +176,13 @@ TEST(SnapshotRejection, FutureFormatVersionIsRefused) {
   std::string err;
   ASSERT_TRUE(save_snapshot(sys, path, &err)) << err;
 
-  // Bump the u32 version right after the 8-byte magic, then recompute the
-  // trailing checksum so the rejection is about the version, not corruption.
+  // The u32 version sits right after the 8-byte magic; the checksum is the
+  // trailing 8 bytes.
   std::string bytes = read_file(path);
   ASSERT_GT(bytes.size(), 24u);
-  bytes[8] = static_cast<char>(kSnapshotVersion + 1);
-  bytes[9] = bytes[10] = bytes[11] = 0;
+  for (int i = 0; i < 4; ++i)
+    bytes[8 + static_cast<std::size_t>(i)] =
+        static_cast<char>((version >> (8 * i)) & 0xff);
   const std::uint64_t sum =
       fnv1a(bytes.data(), bytes.size() - 8);
   for (int i = 0; i < 8; ++i)
@@ -192,6 +196,17 @@ TEST(SnapshotRejection, FutureFormatVersionIsRefused) {
   EXPECT_NE(err.find("unsupported snapshot version"), std::string::npos)
       << err;
   std::remove(path.c_str());
+}
+
+TEST(SnapshotRejection, FutureFormatVersionIsRefused) {
+  expect_version_refused(kSnapshotVersion + 1);
+}
+
+// Version 1 files carried the NI's tombstoned origin table and scan-memo
+// generation, which this build's NI section would misparse.
+TEST(SnapshotRejection, OlderFormatVersionIsRefused) {
+  static_assert(kSnapshotVersion > 1, "an older format must exist");
+  expect_version_refused(kSnapshotVersion - 1);
 }
 
 TEST(SnapshotRejection, ConfigMismatchNamesTheFirstDifferingField) {
