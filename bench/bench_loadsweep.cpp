@@ -8,28 +8,10 @@
 // injection rate and comparing circuit usage and reply latency.
 #include "bench_util.hpp"
 
-#include <chrono>
-
 #include "sim/synthetic.hpp"
 
 using namespace rc;
 using namespace rc::bench;
-
-namespace {
-
-// Wall-clock for one synthetic run under a forced tick mode; returns
-// seconds and writes the result out so the work can't be elided.
-double timed_run(NocConfig cfg, TickMode mode, double rate, int service,
-                 Cycle warm, Cycle meas, SyntheticResult* out) {
-  cfg.tick = mode;
-  SyntheticTraffic traffic(cfg, rate, service, base_seed());
-  auto t0 = std::chrono::steady_clock::now();
-  *out = traffic.run(warm, meas);
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-}  // namespace
 
 int main() {
   banner("Load sweep — circuit viability under congestion (synthetic, 64 nodes)",
@@ -54,34 +36,6 @@ int main() {
     }
   }
   t.print("injection-rate sweep");
-
-  // Activity-driven scheduling payoff: at the lowest injection rate most
-  // routers are idle most cycles, so skipping quiescent components should
-  // be well over 1.5x faster than ticking everything — with identical
-  // measurements (asserted here, and cross-checked by RC_VERIFY_TICKS=1
-  // in the test suite).
-  {
-    const double kLowRate = 0.002;
-    NocConfig cfg = make_system_config(64, "SlackDelay1_NoAck", "fft").noc;
-    SyntheticResult always_r, activity_r;
-    double always_s = timed_run(cfg, TickMode::Always, kLowRate, kService,
-                                kWarm, kMeas, &always_r);
-    double activity_s = timed_run(cfg, TickMode::Activity, kLowRate, kService,
-                                  kWarm, kMeas, &activity_r);
-    Table w({"tick mode", "wall (s)", "requests", "reply latency"});
-    w.add_row({"always", Table::num(always_s, 3),
-               Table::num(static_cast<double>(always_r.requests_done), 0),
-               Table::num(always_r.reply_latency, 1)});
-    w.add_row({"activity", Table::num(activity_s, 3),
-               Table::num(static_cast<double>(activity_r.requests_done), 0),
-               Table::num(activity_r.reply_latency, 1)});
-    w.print("activity-driven tick scheduling, lowest injection rate");
-    RC_ASSERT(always_r.requests_done == activity_r.requests_done &&
-                  always_r.reply_latency == activity_r.reply_latency,
-              "activity scheduling changed the measured results");
-    std::printf("speedup (always / activity): %.2fx\n",
-                always_s / activity_s);
-  }
 
   std::printf(
       "\nExpected shape: at light load both circuit schemes ride most\n"

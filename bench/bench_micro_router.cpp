@@ -77,19 +77,6 @@ void BM_IdleNetworkTick(benchmark::State& state) {
 }
 BENCHMARK(BM_IdleNetworkTick)->Arg(4)->Arg(8);
 
-// Same idle mesh with activity scheduling disabled — the gap between this
-// and BM_IdleNetworkTick is the cost of ticking quiescent routers/NIs.
-void BM_IdleNetworkTickAlways(benchmark::State& state) {
-  NocConfig cfg;
-  cfg.mesh_w = cfg.mesh_h = static_cast<int>(state.range(0));
-  cfg.tick = TickMode::Always;
-  Network net(cfg);
-  Cycle now = 0;
-  for (auto _ : state) net.tick(now++);
-  state.SetItemsProcessed(state.iterations() * cfg.num_nodes());
-}
-BENCHMARK(BM_IdleNetworkTickAlways)->Arg(4)->Arg(8);
-
 void BM_LoadedNetworkTick(benchmark::State& state) {
   NocConfig cfg;
   cfg.mesh_w = cfg.mesh_h = static_cast<int>(state.range(0));

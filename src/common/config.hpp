@@ -150,8 +150,8 @@ struct NocConfig {
   bool replies_yx = false;
 
   /// Tick-loop scheduling (see common/schedule.hpp). Overridable at run time
-  /// with RC_VERIFY_TICKS=1 / RC_TICK_ALWAYS=1; all modes produce identical
-  /// simulations — Activity just skips quiescent components.
+  /// with RC_VERIFY_TICKS=1; both modes produce identical simulations —
+  /// Activity just skips quiescent components.
   TickMode tick = TickMode::Activity;
 
   CircuitConfig circuit;

@@ -7,7 +7,6 @@ namespace rc {
 const char* to_string(TickMode m) {
   switch (m) {
     case TickMode::Activity: return "Activity";
-    case TickMode::Always: return "Always";
     case TickMode::Verify: return "Verify";
   }
   return "?";
@@ -16,8 +15,6 @@ const char* to_string(TickMode m) {
 TickMode effective_tick_mode(TickMode configured) {
   if (const char* v = std::getenv("RC_VERIFY_TICKS"))
     if (v[0] == '1') return TickMode::Verify;
-  if (const char* v = std::getenv("RC_TICK_ALWAYS"))
-    if (v[0] == '1') return TickMode::Always;
   return configured;
 }
 

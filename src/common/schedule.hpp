@@ -19,14 +19,15 @@
 // when every shard's frontier is in the future the engine fast-forwards the
 // global clock to the minimum frontier in one step (see System::run_cycles).
 //
-// Three modes:
+// Two modes:
 //   Activity - tick only components whose wake_at has arrived (default).
-//   Always   - tick everything every cycle (the pre-optimization loop).
-//   Verify   - tick everything, but assert that the activity bookkeeping
-//              would not have missed any pending work; combined with the
-//              fact that a skipped tick is a no-op by construction, a clean
-//              Verify run proves Activity and Always produce identical
-//              simulations. Enabled globally with RC_VERIFY_TICKS=1.
+//   Verify   - tick everything every cycle (the pre-optimization loop), but
+//              assert that the activity bookkeeping would not have missed
+//              any pending work; combined with the fact that a skipped tick
+//              is a no-op by construction, a clean Verify run proves
+//              Activity produces the same simulation as ticking everything.
+//              It is the oracle mode, enabled globally with
+//              RC_VERIFY_TICKS=1.
 #pragma once
 
 #include <cstddef>
@@ -39,14 +40,14 @@ namespace rc {
 
 enum class TickMode : std::uint8_t {
   Activity,  ///< skip components with no pending work
-  Always,    ///< unconditionally tick every component every cycle
-  Verify,    ///< Always + assert the activity tracking is conservative
+  Verify,    ///< tick every component every cycle and assert the activity
+             ///< tracking is conservative
 };
 
 const char* to_string(TickMode m);
 
-/// Apply the environment overrides: RC_VERIFY_TICKS=1 forces Verify,
-/// RC_TICK_ALWAYS=1 forces Always, otherwise `configured` is used.
+/// Apply the environment override: RC_VERIFY_TICKS=1 forces Verify,
+/// otherwise `configured` is used.
 TickMode effective_tick_mode(TickMode configured);
 
 /// Base class for components driven by an activity-tracked tick loop.
@@ -109,9 +110,6 @@ class Ticker {
 template <typename C>
 inline void tick_scheduled(C& c, Cycle now, TickMode mode, const char* what) {
   switch (mode) {
-    case TickMode::Always:
-      c.tick(now);
-      return;
     case TickMode::Verify:
       if (c.next_work(now) <= now && c.wake_at() > now)
         fatal(std::string("RC_VERIFY_TICKS: activity scheduler would have "
@@ -184,8 +182,8 @@ class ShardSchedule {
   Cycle sweep(Cycle now, TickMode mode) {
     const std::size_t n = entries_.size();
     if (mode != TickMode::Activity) {
-      // Always/Verify tick every component; the frontier stays pinned to
-      // the next cycle so fast-forward never engages.
+      // Verify ticks every component; the frontier stays pinned to the
+      // next cycle so fast-forward never engages.
       for (std::size_t i = 0; i < n; ++i)
         entries_[i].fn(entries_[i].obj, now, mode, entries_[i].what);
       frontier_ = now + 1;

@@ -40,6 +40,8 @@ class Network {
   void send(const MsgPtr& msg, Cycle now);
 
   /// Observe every message handed to the fabric (tracing, liveness checks).
+  /// The callback runs inside send(), on the shard that owns msg->src, so
+  /// it must be thread-safe when the network runs more than one shard.
   void set_send_observer(std::function<void(const MsgPtr&, Cycle)> cb) {
     send_observer_ = std::move(cb);
   }
@@ -87,8 +89,8 @@ class Network {
 
   const Topology& topo() const { return topo_; }
   const NocConfig& config() const { return cfg_; }
-  /// Scheduling mode in effect (config + RC_VERIFY_TICKS/RC_TICK_ALWAYS
-  /// overrides, resolved once at construction).
+  /// Scheduling mode in effect (config + RC_VERIFY_TICKS override,
+  /// resolved once at construction).
   TickMode tick_mode() const { return mode_; }
   Router& router(NodeId n) { return *routers_[n]; }
   NetworkInterface& ni(NodeId n) { return *nis_[n]; }

@@ -73,8 +73,8 @@ void SyntheticTraffic::tick_node(NodeId i, Cycle now) {
   }
   if (st.next_inject > now) return;
   // The frontier keeps a due injection from ever being slept through; in
-  // Always/Verify mode the driver ticks every cycle and walks onto the
-  // stamp the same way.
+  // Verify mode the driver ticks every cycle and walks onto the stamp the
+  // same way.
   RC_ASSERT(st.next_inject == now, "synthetic driver missed its injection");
   const int n = cfg_.num_nodes();
   NodeId dest = static_cast<NodeId>(st.rng.next_below(n));

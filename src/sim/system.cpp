@@ -96,7 +96,6 @@ void System::build_schedules() {
 }
 
 void System::deliver(NodeId node, const MsgPtr& msg) {
-  if (observer_) observer_(node, msg);
   switch (msg->type) {
     case MsgType::GetS:
     case MsgType::GetX:
@@ -128,7 +127,7 @@ void System::run_cycles(Cycle n) {
   const Cycle end = now_ + n;
   // Fast-forward: once every shard's frontier proves nothing can happen
   // before cycle f, jump the clock straight to f. Legal only when the
-  // scheduler is activity-driven (Always/Verify tick everything each cycle)
+  // scheduler is activity-driven (Verify ticks everything each cycle)
   // and no observer is attached — the validator's watchdog and the
   // telemetry sampler both require their per-cycle global scan.
   const bool ffwd =

@@ -2,7 +2,6 @@
 // controllers, and the (Reactive Circuits) NoC, all on one clock.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -79,13 +78,6 @@ class System {
   L1Cache& l1(NodeId n) { return *l1s_[n]; }
   L2Bank& l2(NodeId n) { return *l2s_[n]; }
 
-  /// Observe every message delivered over the network (tracing/debugging);
-  /// called before the message is handed to its controller.
-  void set_message_observer(
-      std::function<void(NodeId, const MsgPtr&)> cb) {
-    observer_ = std::move(cb);
-  }
-
  private:
   void deliver(NodeId node, const MsgPtr& msg);
   /// Build one ShardSchedule per shard (serial per-node tick order: cores,
@@ -100,7 +92,6 @@ class System {
   /// tile's controllers write only their own entry, so shard workers never
   /// share a StatSet.
   std::vector<StatSet> node_sys_stats_;
-  std::function<void(NodeId, const MsgPtr&)> observer_;
 
   std::unique_ptr<Network> net_;
   std::unique_ptr<Validator> validator_;

@@ -552,4 +552,40 @@ TraceSummary summarize_trace(const std::string& path, bool include_warmup) {
   return summarize_events(events, samples, include_warmup);
 }
 
+std::size_t write_chrome_trace(const std::vector<TelemetryEvent>& events,
+                               bool include_warmup, std::ostream& os) {
+  std::size_t begin = 0;
+  if (!include_warmup)
+    for (std::size_t i = 0; i < events.size(); ++i)
+      if (events[i].kind == TelemetryEvent::Kind::StatsReset) begin = i + 1;
+
+  std::map<std::uint64_t, const TelemetryEvent*> open;  // id -> latest Inject
+  std::size_t slices = 0;
+  os << "[";
+  for (std::size_t i = begin; i < events.size(); ++i) {
+    const TelemetryEvent& ev = events[i];
+    if (ev.kind == TelemetryEvent::Kind::Inject) {
+      open[ev.msg] = &ev;
+      continue;
+    }
+    if (ev.kind != TelemetryEvent::Kind::Deliver) continue;
+    const auto it = open.find(ev.msg);
+    if (it == open.end()) continue;  // injected before the trace window
+    const TelemetryEvent& inj = *it->second;
+    open.erase(it);
+
+    const bool typed = ev.mtype >= 0 && ev.mtype < kNumMsgTypes;
+    const auto type = static_cast<MsgType>(ev.mtype);
+    os << (slices++ ? ",\n" : "\n") << R"({"name":")"
+       << (typed ? to_string(type) : to_string(ev.cat))
+       << R"(","ph":"X","ts":)" << inj.cycle << R"(,"dur":)"
+       << (ev.cycle > inj.cycle ? ev.cycle - inj.cycle : 1) << R"(,"pid":)"
+       << (typed && vnet_of(type) == VNet::Reply ? 1 : 0) << R"(,"tid":)"
+       << inj.node << R"(,"args":{"id":)" << ev.msg << R"(,"dest":)"
+       << ev.node << R"(,"cat":")" << to_string(ev.cat) << R"("}})";
+  }
+  os << "\n]\n";
+  return slices;
+}
+
 }  // namespace rc

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -244,5 +245,16 @@ TraceSummary summarize_events(const std::vector<TelemetryEvent>& events,
 
 /// load_trace + summarize_events; fatal() on unreadable input.
 TraceSummary summarize_trace(const std::string& path, bool include_warmup);
+
+/// Write the event stream as Chrome trace-event JSON (chrome://tracing,
+/// Perfetto): one "X" slice per delivered message, from its injection to
+/// its delivery, on the source node's track (tid). args carry the message
+/// id, the delivering node and the Fig. 6 category; pid is the virtual
+/// network when the trace tags messages with their type, else 0. Each
+/// Deliver closes the latest unmatched Inject of the same id, because a
+/// scrounger's onward leg (§4.5) re-injects the id it arrived with.
+/// include_warmup as in summarize_events. Returns the number of slices.
+std::size_t write_chrome_trace(const std::vector<TelemetryEvent>& events,
+                               bool include_warmup, std::ostream& os);
 
 }  // namespace rc

@@ -383,17 +383,27 @@ void Validator::check_idle(Cycle now) const {
              std::to_string(id) + ")",
          now, &f);
   }
+  const CircuitConfig& cc = net_->config().circuit;
+  const bool fragmented = cc.mode == CircuitMode::Fragmented;
   const Topology& topo = net_->topo();
   for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    Router& r = net_->router(n);
     for (int p = 0; p < kNumDirs; ++p) {
-      const CircuitTable& t =
-          net_->router(n).circuits().table(static_cast<Port>(p));
-      for (const CircuitEntry& e : t.entries())
-        if (e.live(now) && e.bound_msg != 0)
-          fail("idle fabric but router " + std::to_string(n) + " port " +
-                   to_string(dir_of(static_cast<Port>(p))) +
-                   " holds an entry bound to msg " +
-                   std::to_string(e.bound_msg),
+      const Dir d = dir_of(static_cast<Port>(p));
+      for (const CircuitEntry& e :
+           r.circuits().table(static_cast<Port>(p)).entries())
+        if (e.live(now))
+          fail("idle system but router " + std::to_string(n) + " port " +
+                   to_string(d) + " holds a live circuit entry (owner " +
+                   std::to_string(e.owner_req) + ", bound msg " +
+                   std::to_string(e.bound_msg) + ")",
+               now);
+      if (!fragmented) continue;
+      for (int k = 0; k < cc.num_circuit_vcs(); ++k)
+        if (r.output_vc(d, VNet::Reply, k).busy)
+          fail("idle system but router " + std::to_string(n) + " output " +
+                   to_string(d) + " circuit VC " + std::to_string(k) +
+                   " is still claimed",
                now);
     }
   }

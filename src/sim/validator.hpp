@@ -63,8 +63,12 @@ class Validator final : public NocObserver {
   /// Messages injected but not yet delivered.
   std::size_t in_flight() const { return flights_.size(); }
 
-  /// End-of-run assertion for drained fabrics: nothing in flight and no
-  /// circuit entry still bound to a rider.
+  /// End-of-run assertion for a drained system: nothing in flight, no live
+  /// circuit entry (bound or not — every reservation was used, undone or
+  /// expired) and, under Fragmented, no claimed output circuit VC.
+  /// Precondition: the whole system has drained — cores and controllers
+  /// idle with no pending sends, not just an empty fabric — since a
+  /// reservation legitimately outlives its request until the reply rides.
   void check_idle(Cycle now) const;
 
   /// Snapshot save/load: the in-flight table (with flight logs), stall

@@ -2,8 +2,8 @@
 //  * checked env/CLI parsing (parse_ll / env_positive_ll),
 //  * run_config input validation (no NaN/inf IPC),
 //  * run_many worker-thread error propagation and sharding determinism,
-//  * Activity vs Always tick scheduling producing bit-identical stats,
-//  * the RC_VERIFY_TICKS / TickMode::Verify lockstep checker.
+//  * Activity tick scheduling producing stats bit-identical to the
+//    RC_VERIFY_TICKS / TickMode::Verify lockstep oracle.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -180,20 +180,24 @@ TEST(RunMany, ShardingIsDeterministic) {
 
 // ------------------------------------------------- tick-mode equivalence
 
-TEST(TickScheduling, ActivityMatchesAlwaysOnFullSystem) {
+// TickMode::Verify ticks every component every cycle and asserts the
+// activity bookkeeping would never have slept through pending work; a clean
+// Verify run that matches Activity is the lockstep proof that skipping
+// quiescent components changes nothing.
+TEST(TickScheduling, ActivityMatchesVerifyOnFullSystem) {
   for (const char* preset : {"Baseline", "SlackDelay1_NoAck"}) {
-    RunResult always =
-        run_config(small_config(preset, TickMode::Always), preset);
+    RunResult verify =
+        run_config(small_config(preset, TickMode::Verify), preset);
     RunResult activity =
         run_config(small_config(preset, TickMode::Activity), preset);
-    EXPECT_EQ(always.retired, activity.retired) << preset;
-    EXPECT_EQ(always.ipc, activity.ipc) << preset;
-    expect_stats_equal(always.net, activity.net, preset);
-    expect_stats_equal(always.sys, activity.sys, preset);
+    EXPECT_EQ(verify.retired, activity.retired) << preset;
+    EXPECT_EQ(verify.ipc, activity.ipc) << preset;
+    expect_stats_equal(verify.net, activity.net, preset);
+    expect_stats_equal(verify.sys, activity.sys, preset);
   }
 }
 
-TEST(TickScheduling, ActivityMatchesAlwaysOnSyntheticNetwork) {
+TEST(TickScheduling, ActivityMatchesVerifyOnSyntheticNetwork) {
   SystemConfig base = make_system_config(16, "Complete_NoAck", "fft", 1);
   auto run_mode = [&](TickMode m) {
     NocConfig noc = base.noc;
@@ -201,35 +205,18 @@ TEST(TickScheduling, ActivityMatchesAlwaysOnSyntheticNetwork) {
     SyntheticTraffic t(noc, /*rate=*/0.01, /*service_cycles=*/7, /*seed=*/3);
     return t.run(/*warmup=*/2'000, /*measure=*/6'000);
   };
-  SyntheticResult always = run_mode(TickMode::Always);
+  SyntheticResult verify = run_mode(TickMode::Verify);
   SyntheticResult activity = run_mode(TickMode::Activity);
-  EXPECT_EQ(always.requests_done, activity.requests_done);
-  EXPECT_EQ(always.request_latency, activity.request_latency);
-  EXPECT_EQ(always.reply_latency, activity.reply_latency);
-  EXPECT_EQ(always.circuit_use, activity.circuit_use);
-  expect_stats_equal(always.net, activity.net, "synthetic");
-}
-
-TEST(TickScheduling, VerifyModeRunsCleanOnSmallMesh) {
-  // TickMode::Verify ticks everything but asserts the activity bookkeeping
-  // would never have slept through pending work; a clean run is the
-  // lockstep proof that Activity == Always on this configuration.
-  SystemConfig cfg = small_config("SlackDelay1_NoAck", TickMode::Verify);
-  RunResult verify = run_config(cfg, "verify");
-  RunResult always =
-      run_config(small_config("SlackDelay1_NoAck", TickMode::Always),
-                 "always");
-  EXPECT_EQ(verify.retired, always.retired);
-  expect_stats_equal(verify.net, always.net, "verify-vs-always");
-  expect_stats_equal(verify.sys, always.sys, "verify-vs-always");
+  EXPECT_EQ(verify.requests_done, activity.requests_done);
+  EXPECT_EQ(verify.request_latency, activity.request_latency);
+  EXPECT_EQ(verify.reply_latency, activity.reply_latency);
+  EXPECT_EQ(verify.circuit_use, activity.circuit_use);
+  expect_stats_equal(verify.net, activity.net, "synthetic");
 }
 
 TEST(TickScheduling, EnvOverrideSelectsVerify) {
   setenv("RC_VERIFY_TICKS", "1", 1);
   EXPECT_EQ(effective_tick_mode(TickMode::Activity), TickMode::Verify);
   unsetenv("RC_VERIFY_TICKS");
-  setenv("RC_TICK_ALWAYS", "1", 1);
-  EXPECT_EQ(effective_tick_mode(TickMode::Activity), TickMode::Always);
-  unsetenv("RC_TICK_ALWAYS");
   EXPECT_EQ(effective_tick_mode(TickMode::Activity), TickMode::Activity);
 }

@@ -65,9 +65,9 @@ void expect_stats_equal(const StatSet& a, const StatSet& b,
   }
 }
 
-SyntheticResult run_synthetic(TopologyKind topo, int shards, bool tick_always,
+SyntheticResult run_synthetic(TopologyKind topo, int shards, bool verify,
                               Cycle measure) {
-  ScopedEnv ta("RC_TICK_ALWAYS", tick_always ? "1" : "0");
+  ScopedEnv tv("RC_VERIFY_TICKS", verify ? "1" : "0");
   NocConfig cfg = make_system_config(64, "SlackDelay1_NoAck", "fft", 1).noc;
   cfg.topology = topo;
   // The tick mode is resolved from the environment when the Network is
@@ -91,12 +91,12 @@ TEST(SchedIdentity, TorusAndCMeshBitIdenticalAcrossShardsAndTickModes) {
     const SyntheticResult ref = run_synthetic(topo, 1, false, measure);
     EXPECT_GT(ref.requests_done, 0u) << to_string(topo);
     for (int shards : shard_counts) {
-      for (bool always : {false, true}) {
-        if (shards == 1 && !always) continue;  // that is the reference
-        const SyntheticResult r = run_synthetic(topo, shards, always, measure);
+      for (bool verify : {false, true}) {
+        if (shards == 1 && !verify) continue;  // that is the reference
+        const SyntheticResult r = run_synthetic(topo, shards, verify, measure);
         const std::string what = std::string(to_string(topo)) +
                                  " shards=" + std::to_string(shards) +
-                                 (always ? " always" : " activity");
+                                 (verify ? " verify" : " activity");
         EXPECT_EQ(ref.requests_done, r.requests_done) << what;
         EXPECT_EQ(ref.request_latency, r.request_latency) << what;
         EXPECT_EQ(ref.reply_latency, r.reply_latency) << what;
@@ -115,10 +115,9 @@ TEST(SchedWatchdog, PlantedStaleFrontierIsCaughtByHangWatchdog) {
   // failure). Messages routed through the dead router then age past
   // RC_HANG_CYCLES and the watchdog must abort the run.
   //
-  // The plant only bites in Activity mode — Always/Verify tick every
-  // component regardless of its stamp — so the tick overrides are pinned
-  // off for this test (the `_verify_ticks` suite variant sets them).
-  ScopedEnv ta("RC_TICK_ALWAYS", "0");
+  // The plant only bites in Activity mode — Verify ticks every component
+  // regardless of its stamp — so the tick override is pinned off for this
+  // test (the `_verify_ticks` suite variant sets it).
   ScopedEnv tv("RC_VERIFY_TICKS", "0");
   ScopedEnv check("RC_CHECK", "1");
   ScopedEnv hang("RC_HANG_CYCLES", "1500");

@@ -3,14 +3,17 @@
 //    passivity: a traced run's simulation statistics are bit-identical to an
 //    untraced run's,
 //  * determinism — the exported trace is byte-identical across
-//    RC_SHARDS=1/2/4 and across tick modes (activity-driven vs RC_TICK_ALWAYS),
+//    RC_SHARDS=1/2/4 and across tick modes (activity-driven vs
+//    RC_VERIFY_TICKS),
 //  * round trip — write() -> load_trace() -> summarize_events() reproduces
 //    the in-memory events, samples, and digest (the rc-trace CLI is a thin
 //    wrapper over exactly these three calls),
 //  * aggregate agreement — the post-reset trace digest reproduces the
 //    Fig. 6 reply-category counters and the reservation/undo counters kept
 //    by the fabric's StatSets,
-//  * CSV export and sampling cadence.
+//  * CSV export and sampling cadence,
+//  * Chrome trace-event export (rc-trace export --chrome): one slice per
+//    delivered message, paired across a scrounger's re-injection.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -216,20 +219,20 @@ TEST(TelemetryDeterminism, TraceByteIdenticalAcrossShards) {
 }
 
 TEST(TelemetryDeterminism, TraceByteIdenticalAcrossTickModes) {
-  auto run_traced = [](const char* tick_always, const std::string& leaf) {
+  auto run_traced = [](const char* verify, const std::string& leaf) {
     const std::string path = tmp_path(leaf);
     ScopedEnv env("RC_TELEMETRY", path.c_str());
     ScopedEnv every("RC_SAMPLE_EVERY", "50");
-    ScopedEnv mode("RC_TICK_ALWAYS", tick_always);
+    ScopedEnv mode("RC_VERIFY_TICKS", verify);
     run_config(small_cfg(), "tickmode");
     const std::string trace = slurp(path);
     std::remove(path.c_str());
     return trace;
   };
-  const std::string activity = run_traced(nullptr, "tick_activity.jsonl");
-  const std::string always = run_traced("1", "tick_always.jsonl");
+  const std::string activity = run_traced("0", "tick_activity.jsonl");
+  const std::string verify = run_traced("1", "tick_verify.jsonl");
   EXPECT_FALSE(activity.empty());
-  EXPECT_EQ(activity, always);
+  EXPECT_EQ(activity, verify);
 }
 
 // -------------------------------------------------------------- round trip
@@ -453,6 +456,102 @@ TEST(TelemetryExport, WriteFailureIsReportedNotFatal) {
   Network net(small_cfg().noc);
   Telemetry t(&net, path, 0);
   EXPECT_FALSE(t.write());
+}
+
+// ----------------------------------------------------------- chrome export
+
+TEST(ChromeExport, RecordsAndSerializes) {
+  const std::string path = tmp_path("chrome.jsonl");
+  ScopedEnv env("RC_TELEMETRY", path.c_str());
+  std::ostringstream os;
+  std::size_t slices = 0;
+  {
+    System sys(small_cfg("SlackDelay1_NoAck"));
+    sys.run();
+    ASSERT_NE(sys.telemetry(), nullptr);
+    slices = write_chrome_trace(sys.telemetry()->events(), false, os);
+  }
+  EXPECT_GT(slices, 100u);
+  const std::string json = os.str();
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"cat\":\"used\""), std::string::npos);
+  // Untyped traces put every slice in one process.
+  EXPECT_EQ(json.find("\"pid\":1"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ChromeExport, WritesFileFromLoadedTrace) {
+  // The rc-trace path: a trace file on disk, loaded and exported to a
+  // Chrome JSON file. Typed traces name slices by message type and split
+  // them into one process per virtual network.
+  const std::string path = tmp_path("chrome_typed.jsonl");
+  const std::string out = tmp_path("chrome_typed.json");
+  {
+    ScopedEnv env("RC_TELEMETRY", path.c_str());
+    ScopedEnv types("RC_TELEMETRY_TYPES", "1");
+    SystemConfig cfg = small_cfg("SlackDelay1_NoAck");
+    cfg.measure_cycles = 1'500;
+    run_config(cfg, "chrome");
+  }
+  std::vector<TelemetryEvent> events;
+  std::string err;
+  ASSERT_TRUE(load_trace(path, &events, nullptr, &err)) << err;
+  std::size_t post_reset = 0, with_warmup = 0;
+  {
+    std::ofstream f(out);
+    post_reset = write_chrome_trace(events, false, f);
+    std::ostringstream all;
+    with_warmup = write_chrome_trace(events, true, all);
+  }
+  EXPECT_GT(with_warmup, post_reset);
+  const std::string json = slurp(out);
+  EXPECT_GT(json.size(), 1000u);
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_NE(json.find("\"name\":\"L2Reply\""), std::string::npos);
+  EXPECT_NE(json.find("\"pid\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
+  std::remove(path.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(ChromeExport, PairsEachDeliveryWithLatestOpenInjection) {
+  // A scrounger (§4.5) is delivered at an intermediate NI and re-injected
+  // under the same id; each leg becomes its own slice. A delivery whose
+  // injection precedes the window (here: the stats reset) is dropped.
+  auto event = [](TelemetryEvent::Kind k, Cycle c, NodeId n,
+                  std::uint64_t msg, ReplyCategory cat) {
+    TelemetryEvent ev;
+    ev.kind = k;
+    ev.cycle = c;
+    ev.node = n;
+    ev.msg = msg;
+    ev.cat = cat;
+    return ev;
+  };
+  using K = TelemetryEvent::Kind;
+  using C = ReplyCategory;
+  const std::vector<TelemetryEvent> events = {
+      event(K::Inject, 3, 6, 5, C::NotReply),
+      event(K::StatsReset, 5, kInvalidNode, 0, C::NotReply),
+      event(K::Inject, 10, 1, 7, C::NotReply),
+      event(K::Deliver, 12, 2, 5, C::NotReply),
+      event(K::Deliver, 20, 4, 7, C::ScroungeHop),
+      event(K::Inject, 22, 4, 7, C::NotReply),
+      event(K::Deliver, 30, 9, 7, C::Scrounged),
+  };
+  std::ostringstream os;
+  EXPECT_EQ(write_chrome_trace(events, false, os), 2u);
+  EXPECT_EQ(os.str(),
+            "[\n"
+            R"({"name":"scrounge_hop","ph":"X","ts":10,"dur":10,"pid":0,)"
+            R"("tid":1,"args":{"id":7,"dest":4,"cat":"scrounge_hop"}},)"
+            "\n"
+            R"({"name":"scrounged","ph":"X","ts":22,"dur":8,"pid":0,)"
+            R"("tid":4,"args":{"id":7,"dest":9,"cat":"scrounged"}})"
+            "\n]\n");
+  std::ostringstream all;
+  EXPECT_EQ(write_chrome_trace(events, true, all), 3u);
 }
 
 }  // namespace

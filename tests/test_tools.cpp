@@ -1,154 +1,16 @@
-// Tooling tests: invariant checker, flight recorder, report tables, and
-// the remaining small public APIs (message helpers, presets).
+// Tooling tests: report tables and the remaining small public APIs
+// (message helpers, presets).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdint>
-#include <fstream>
-#include <sstream>
-#include <vector>
+#include <string>
 
 #include "noc/message.hpp"
-#include "sim/checker.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
-#include "sim/trace.hpp"
 
 namespace rc {
 namespace {
-
-SystemConfig small_cfg(const std::string& preset = "SlackDelay1_NoAck") {
-  SystemConfig cfg = make_system_config(16, preset, "fft", 3);
-  cfg.warmup_cycles = 1'000;
-  cfg.measure_cycles = 4'000;
-  return cfg;
-}
-
-TEST(Checker, HealthySystemHasNoViolations) {
-  System sys(small_cfg());
-  InvariantChecker chk(&sys);
-  sys.prewarm();
-  sys.run_cycles(5'000);
-  EXPECT_TRUE(chk.check(sys.now()).empty());
-}
-
-TEST(Checker, CircuitEntriesDrainWhenIdle) {
-  // Stop the cores (core-less system), push a few transactions through,
-  // then verify no circuit entry outlives its transaction.
-  SystemConfig cfg = small_cfg("Complete_NoAck");
-  cfg.workload = "none";
-  System sys(cfg);
-  InvariantChecker chk(&sys);
-  for (NodeId n = 0; n < 4; ++n) {
-    bool done = false;
-    sys.l1(n).set_complete([&](Cycle) { done = true; });
-    ASSERT_TRUE(sys.l1(n).access((5 + n) * kLineBytes, false, sys.now()));
-    for (int i = 0; i < 3'000 && !done; ++i) sys.run_cycles(1);
-    ASSERT_TRUE(done);
-  }
-  sys.run_cycles(300);  // drain ACKs and tail flits
-  EXPECT_EQ(chk.live_circuit_entries(sys.now()), 0);
-  EXPECT_TRUE(chk.check(sys.now()).empty());
-}
-
-TEST(Checker, FragmentedClaimsMatchLiveEntries) {
-  // After a fragmented system drains, every claimed circuit VC must belong
-  // to a live entry (claims release with their circuits, never leak).
-  SystemConfig cfg = small_cfg("Fragmented");
-  cfg.workload = "none";
-  System sys(cfg);
-  InvariantChecker chk(&sys);
-  for (NodeId n = 0; n < 6; ++n) {
-    bool done = false;
-    sys.l1(n).set_complete([&](Cycle) { done = true; });
-    ASSERT_TRUE(sys.l1(n).access((5 + n) * kLineBytes, false, sys.now()));
-    for (int i = 0; i < 3'000 && !done; ++i) sys.run_cycles(1);
-    ASSERT_TRUE(done);
-  }
-  sys.run_cycles(400);
-  EXPECT_EQ(chk.live_circuit_entries(sys.now()), 0);
-  EXPECT_EQ(chk.claimed_circuit_vcs(), 0);
-  EXPECT_TRUE(sys.network().idle());
-}
-
-TEST(Checker, FlagsMessagesExceedingTheAgeBound) {
-  // With an absurdly tight bound, ordinary in-flight messages count as
-  // violations — exercising the reporting path end to end.
-  System sys(small_cfg());
-  InvariantChecker chk(&sys, /*max_msg_age=*/1);
-  sys.prewarm();
-  sys.run_cycles(200);
-  EXPECT_FALSE(chk.check(sys.now()).empty());
-}
-
-TEST(Trace, RecordsAndSerializes) {
-  SystemConfig cfg = small_cfg();
-  System sys(cfg);
-  FlightRecorder rec(&sys);
-  sys.run();
-  EXPECT_GT(rec.events(), 100u);
-  std::string json = rec.to_json();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"circuit\":true"), std::string::npos);
-}
-
-TEST(Trace, WritesFile) {
-  SystemConfig cfg = small_cfg();
-  cfg.measure_cycles = 1'500;
-  System sys(cfg);
-  FlightRecorder rec(&sys);
-  sys.run();
-  const std::string path = "/tmp/rc_trace_test.json";
-  ASSERT_TRUE(rec.write(path));
-  std::ifstream f(path);
-  ASSERT_TRUE(f.good());
-  std::stringstream ss;
-  ss << f.rdbuf();
-  EXPECT_GT(ss.str().size(), 1000u);
-  std::remove(path.c_str());
-}
-
-TEST(Trace, BoundsMemory) {
-  SystemConfig cfg = small_cfg();
-  System sys(cfg);
-  FlightRecorder rec(&sys, /*max_events=*/50);
-  sys.run();
-  EXPECT_EQ(rec.events(), 50u);
-}
-
-// The bounded recorder is a ring: once full it evicts the OLDEST event per
-// new one, so a capped trace is exactly the tail of the unbounded trace
-// (the interesting part when debugging a crash at the end of a run).
-TEST(Trace, RingKeepsNewestEvents) {
-  SystemConfig cfg = small_cfg();
-  std::vector<std::uint64_t> all_ids;
-  {
-    System sys(cfg);
-    FlightRecorder full(&sys);
-    sys.run();
-    for (const auto& r : full.records()) all_ids.push_back(r.id);
-  }
-  ASSERT_GT(all_ids.size(), 80u);
-  const std::size_t cap = 64;
-  System sys(cfg);  // identical seed: same message stream
-  FlightRecorder capped(&sys, cap);
-  sys.run();
-  ASSERT_EQ(capped.events(), cap);
-  std::vector<std::uint64_t> tail(all_ids.end() - cap, all_ids.end());
-  std::vector<std::uint64_t> kept;
-  for (const auto& r : capped.records()) kept.push_back(r.id);
-  EXPECT_EQ(kept, tail);
-}
-
-TEST(Trace, ZeroCapDisablesRecording) {
-  SystemConfig cfg = small_cfg();
-  System sys(cfg);
-  FlightRecorder rec(&sys, /*max_events=*/0);
-  sys.run();
-  EXPECT_EQ(rec.events(), 0u);
-}
 
 TEST(Report, TableFormatting) {
   EXPECT_EQ(Table::pct(0.1234), "12.3%");

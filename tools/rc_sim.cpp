@@ -33,7 +33,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,7 +45,6 @@
 #include "sim/report.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/system.hpp"
-#include "sim/trace.hpp"
 
 using namespace rc;
 
@@ -75,7 +73,6 @@ struct Options {
   int dir_pointers = -1;  ///< sparse-directory overrides (-1 = defaults)
   int dir_sets = -1;
   int dir_ways = -1;
-  std::string trace_path;
   std::string point_out;  ///< rc-dse subprocess mode: machine-readable result
   std::string save_state;  ///< snapshot output path ("" = off)
   Cycle save_at = 0;       ///< 0 = end of warm-up
@@ -88,7 +85,7 @@ struct Options {
                "          [--warmup N] [--cycles N] [--seed N] [--partition N]\n"
                "          [--circuits N] [--slack N] [--buf-depth N]\n"
                "          [--no-l1tol1] [--csv]\n"
-               "          [--trace FILE.json] [--heatmap] [--mesh WxH]\n"
+               "          [--heatmap] [--mesh WxH]\n"
                "          [--topology mesh|torus|ring|cmesh]\n"
                "          [--mc-placement edge-middle|corner|diagonal]\n"
                "          [--protocol mesi|sparse-msi] [--workload NAME]\n"
@@ -152,15 +149,13 @@ RunResult run(const Options& o, const std::string& preset,
     std::fprintf(stderr, "invalid configuration: %s\n", err.c_str());
     std::exit(2);
   }
-  const bool manual = !o.trace_path.empty() || o.heatmap ||
-                      !o.save_state.empty() || !o.load_state.empty();
+  const bool manual =
+      o.heatmap || !o.save_state.empty() || !o.load_state.empty();
   if (!manual) return run_config(cfg, preset);
 
-  // Tracing and snapshotting both need the System to outlive run_config's
+  // The heatmap and snapshots both need the System to outlive run_config's
   // all-in-one flow: step it manually, then extract the result.
   System sys(cfg);
-  std::unique_ptr<FlightRecorder> rec;
-  if (!o.trace_path.empty()) rec = std::make_unique<FlightRecorder>(&sys);
 
   if (!o.load_state.empty()) {
     std::string serr;
@@ -234,15 +229,6 @@ RunResult run(const Options& o, const std::string& preset,
   }
   to(end);
 
-  if (rec) {
-    if (!rec->write(o.trace_path)) {
-      std::fprintf(stderr, "cannot write trace to %s\n", o.trace_path.c_str());
-      std::exit(2);
-    }
-    std::fprintf(stderr, "[rc-sim] wrote %zu trace events to %s "
-                 "(open in chrome://tracing)\n",
-                 rec->events(), o.trace_path.c_str());
-  }
   if (o.heatmap) print_heatmap(sys);
   return extract_result(sys, preset);
 }
@@ -365,7 +351,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--vcs-rep"))
       o.vcs_rep = static_cast<int>(need_int("--vcs-rep", 1));
     else if (!std::strcmp(argv[i], "--no-l1tol1")) o.no_l1tol1 = true;
-    else if (!std::strcmp(argv[i], "--trace")) o.trace_path = need("--trace");
     else if (!std::strcmp(argv[i], "--heatmap")) o.heatmap = true;
     else if (!std::strcmp(argv[i], "--mesh")) {
       const char* v = need("--mesh");

@@ -1,21 +1,27 @@
-// rc-trace: summarize and compare telemetry traces (RC_TELEMETRY output).
+// rc-trace: summarize, compare and export telemetry traces (RC_TELEMETRY
+// output).
 //
 //   rc-trace summarize FILE [--all]
 //   rc-trace diff A B [--all]
+//   rc-trace export --chrome IN.jsonl OUT.json [--all]
 //
 // `summarize` digests one JSONL trace: event counts, Fig. 6 reply-category
 // fractions, per-ending circuit lifetimes, undo ratio, time-to-first-bind,
 // and the sampled occupancy series. `diff` prints the same metrics for two
 // traces side by side with deltas — e.g. a run before and after a knob
-// change, or the same workload across circuit variants.
+// change, or the same workload across circuit variants. `export --chrome`
+// converts a trace into Chrome trace-event JSON, one slice per delivered
+// message (open it in chrome://tracing or Perfetto).
 //
-// By default both commands drop everything before the trace's last stats-
+// By default every command drops everything before the trace's last stats-
 // reset marker (end of warm-up), so the numbers line up with rc-sim's
 // aggregate counters; --all keeps the warm-up transient in view.
 //
-// Exit status: 0 on success, 2 on bad usage or an unreadable trace.
+// Exit status: 0 on success, 2 on bad usage, an unreadable trace or an
+// unwritable output.
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 
 #include "sim/report.hpp"
@@ -29,22 +35,43 @@ int usage(std::FILE* to) {
   std::fprintf(to,
                "usage: rc-trace summarize FILE [--all]\n"
                "       rc-trace diff A B [--all]\n"
+               "       rc-trace export --chrome IN.jsonl OUT.json [--all]\n"
                "  --all   include events before the last stats reset "
                "(warm-up)\n");
   return to == stdout ? 0 : 2;
+}
+
+bool load_events(const std::string& path, std::vector<TelemetryEvent>* events,
+                 std::vector<TelemetrySample>* samples) {
+  std::string err;
+  if (load_trace(path, events, samples, &err)) return true;
+  std::fprintf(stderr, "rc-trace: %s\n", err.c_str());
+  return false;
 }
 
 bool load_summary(const std::string& path, bool include_warmup,
                   TraceSummary* out) {
   std::vector<TelemetryEvent> events;
   std::vector<TelemetrySample> samples;
-  std::string err;
-  if (!load_trace(path, &events, &samples, &err)) {
-    std::fprintf(stderr, "rc-trace: %s\n", err.c_str());
-    return false;
-  }
+  if (!load_events(path, &events, &samples)) return false;
   *out = summarize_events(events, samples, include_warmup);
   return true;
+}
+
+int run_export(const std::string& in, const std::string& out,
+               bool include_warmup) {
+  std::vector<TelemetryEvent> events;
+  if (!load_events(in, &events, nullptr)) return 2;
+  std::ofstream os(out, std::ios::binary);
+  const std::size_t slices = write_chrome_trace(events, include_warmup, os);
+  os.close();
+  if (!os) {
+    std::fprintf(stderr, "rc-trace: cannot write '%s'\n", out.c_str());
+    return 2;
+  }
+  std::fprintf(stderr, "rc-trace: wrote %zu slices to %s\n", slices,
+               out.c_str());
+  return 0;
 }
 
 std::string fmt_u(std::uint64_t v) { return std::to_string(v); }
@@ -106,10 +133,15 @@ int main(int argc, char** argv) {
   std::string cmd;
   std::vector<std::string> paths;
   bool include_warmup = false;
+  bool chrome = false;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--help")) return usage(stdout);
     if (!std::strcmp(argv[i], "--all")) {
       include_warmup = true;
+      continue;
+    }
+    if (!std::strcmp(argv[i], "--chrome")) {
+      chrome = true;
       continue;
     }
     if (cmd.empty())
@@ -118,14 +150,16 @@ int main(int argc, char** argv) {
       paths.push_back(argv[i]);
   }
 
-  if (cmd == "summarize" && paths.size() == 1) {
+  if (cmd == "summarize" && !chrome && paths.size() == 1) {
     TraceSummary s;
     if (!load_summary(paths[0], include_warmup, &s)) return 2;
     print_telemetry_summary(s, "trace " + paths[0] +
                                    (include_warmup ? " (full)" : ""));
     return 0;
   }
-  if (cmd == "diff" && paths.size() == 2)
+  if (cmd == "diff" && !chrome && paths.size() == 2)
     return run_diff(paths[0], paths[1], include_warmup);
+  if (cmd == "export" && chrome && paths.size() == 2)
+    return run_export(paths[0], paths[1], include_warmup);
   return usage(stderr);
 }
