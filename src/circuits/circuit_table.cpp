@@ -1,33 +1,8 @@
 #include "circuits/circuit_table.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "common/state.hpp"
-
-namespace {
-// RC_TRACE_CIRCUIT="<dest>:<hex addr>" traces one circuit identity's entry
-// lifecycle to stderr (debug aid).
-struct TraceId {
-  rc::NodeId dest = -1;
-  rc::Addr addr = 0;
-  TraceId() {
-    if (const char* v = std::getenv("RC_TRACE_CIRCUIT")) {
-      unsigned long long a = 0;
-      int d = -1;
-      if (std::sscanf(v, "%d:%llx", &d, &a) == 2) {
-        dest = d;
-        addr = a;
-      }
-    }
-  }
-};
-const TraceId g_trace;
-bool traced(rc::NodeId d, rc::Addr a) {
-  return g_trace.dest == d && g_trace.addr == a;
-}
-}  // namespace
 
 namespace rc {
 
@@ -40,20 +15,6 @@ int CircuitTable::live_count(Cycle now) const {
 
 CircuitEntry* CircuitTable::find(NodeId dest, Addr addr, std::uint64_t msg_id,
                                  bool bind_new, Cycle now) {
-  if (traced(dest, addr)) {
-    std::fprintf(stderr, "CIRC find tbl=%p msg=%llu bind=%d @%llu:",
-                 static_cast<void*>(this),
-                 static_cast<unsigned long long>(msg_id), int(bind_new),
-                 static_cast<unsigned long long>(now));
-    for (auto& e : slots_)
-      if (e.valid && e.dest == dest && e.addr == addr)
-        std::fprintf(stderr, " [own=%llu bnd=%llu slot=%llu..%llu]",
-                     static_cast<unsigned long long>(e.owner_req),
-                     static_cast<unsigned long long>(e.bound_msg),
-                     static_cast<unsigned long long>(e.slot_start),
-                     static_cast<unsigned long long>(e.slot_end));
-    std::fprintf(stderr, "\n");
-  }
   // Among unbound same-identity entries (two circuit instances can coexist,
   // e.g. a write-back and a re-fetch of the same line), a head flit must
   // bind the instance whose reserved slot is actually active — replies from
@@ -113,13 +74,6 @@ bool CircuitTable::has_other_source(NodeId src, Cycle now) const {
 }
 
 bool CircuitTable::insert(const CircuitEntry& e, Cycle now) {
-  if (traced(e.dest, e.addr))
-    std::fprintf(stderr, "CIRC insert tbl=%p own=%llu out=%d slot=%llu..%llu @%llu\n",
-                 static_cast<void*>(this),
-                 static_cast<unsigned long long>(e.owner_req), int(e.out_port),
-                 static_cast<unsigned long long>(e.slot_start),
-                 static_cast<unsigned long long>(e.slot_end),
-                 static_cast<unsigned long long>(now));
   // Reuse an invalid or expired slot first.
   for (auto& s : slots_) {
     if (!s.valid || s.expired(now)) {
@@ -142,11 +96,6 @@ bool CircuitTable::insert(const CircuitEntry& e, Cycle now) {
 std::optional<CircuitEntry> CircuitTable::release(NodeId dest, Addr addr,
                                                   std::uint64_t msg_id,
                                                   Cycle now) {
-  if (traced(dest, addr))
-    std::fprintf(stderr, "CIRC release tbl=%p msg=%llu @%llu\n",
-                 static_cast<void*>(this),
-                 static_cast<unsigned long long>(msg_id),
-                 static_cast<unsigned long long>(now));
   CircuitEntry* victim = nullptr;
   for (auto& e : slots_) {
     if (!e.live(now) || e.dest != dest || e.addr != addr) continue;
@@ -169,11 +118,6 @@ std::optional<CircuitEntry> CircuitTable::release(NodeId dest, Addr addr,
 
 std::optional<CircuitEntry> CircuitTable::release_instance(
     NodeId dest, Addr addr, std::uint64_t owner_req, Cycle now) {
-  if (traced(dest, addr))
-    std::fprintf(stderr, "CIRC undo tbl=%p own=%llu @%llu\n",
-                 static_cast<void*>(this),
-                 static_cast<unsigned long long>(owner_req),
-                 static_cast<unsigned long long>(now));
   for (auto& e : slots_) {
     if (!e.live(now) || e.dest != dest || e.addr != addr) continue;
     if (owner_req != 0 && e.owner_req != owner_req) continue;

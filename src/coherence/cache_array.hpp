@@ -1,7 +1,20 @@
 // Generic set-associative array with age-based (pseudo-)LRU replacement,
-// shared by the L1 caches and the L2 banks.
+// shared by the L1 caches, the L2 banks and the sparse directory.
+//
+// Tags and payloads live apart. The tag array holds one 8-byte word per way,
+// packed per set, so a lookup scans 16 words of a 16-way set (two host cache
+// lines) rather than 16 whole lines. The payload (LRU stamp plus coherence
+// meta) is touched only on a hit, an install or a victim choice.
+//
+// A way is invalid when its tag word has kInvalid (the low bit) set. Tags are
+// line addresses, which are 64-byte aligned, so a marked word never equals a
+// looked-up address and `find` needs no separate valid test. An invalidated
+// way keeps its last tag under the mark: L1 and directory snapshots record
+// that stale tag, and it must round-trip.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -14,8 +27,6 @@ template <typename Meta>
 class CacheArray {
  public:
   struct Line {
-    bool valid = false;
-    Addr tag = 0;  ///< full line address (simpler than split tag/index)
     Cycle last_used = 0;
     Meta meta{};
   };
@@ -25,30 +36,28 @@ class CacheArray {
   /// every num_banks-th line, so indexing with stride = num_banks uses all
   /// of the bank's sets instead of the 1/num_banks aliased subset.
   CacheArray(int sets, int ways, int index_stride = 1)
-      : sets_(sets), ways_(ways), stride_(index_stride),
+      : sets_(sets), ways_(ways), stride_(index_stride), fold_(floor_log2(sets)),
+        tags_(static_cast<std::size_t>(sets) * ways, kInvalid),
         lines_(static_cast<std::size_t>(sets) * ways) {}
 
   int sets() const { return sets_; }
   int ways() const { return ways_; }
+  std::size_t size() const { return lines_.size(); }
 
   int set_of(Addr addr) const {
     Addr h = addr / kLineBytes / static_cast<Addr>(stride_);
     // XOR-fold the tag bits into the index (standard set-index hashing) so
     // power-of-two-aligned regions do not alias into the same few sets.
-    int lg = 0;
-    while ((1 << (lg + 1)) <= sets_) ++lg;
-    h ^= (h >> lg) ^ (h >> (2 * lg));
+    h ^= (h >> fold_) ^ (h >> (2 * fold_));
     return static_cast<int>(h % static_cast<Addr>(sets_));
   }
 
   /// Find the line holding `addr`, or nullptr.
   Line* find(Addr addr) {
-    Addr la = line_addr(addr);
-    int s = set_of(la);
-    for (int w = 0; w < ways_; ++w) {
-      Line& l = lines_[static_cast<std::size_t>(s) * ways_ + w];
-      if (l.valid && l.tag == la) return &l;
-    }
+    const Addr la = line_addr(addr);
+    const std::size_t base = set_base(la);
+    for (int w = 0; w < ways_; ++w)
+      if (tags_[base + w] == la) return &lines_[base + w];
     return nullptr;
   }
 
@@ -57,45 +66,91 @@ class CacheArray {
 
   /// A free way in addr's set, or nullptr when the set is full.
   Line* free_way(Addr addr) {
-    int s = set_of(line_addr(addr));
-    for (int w = 0; w < ways_; ++w) {
-      Line& l = lines_[static_cast<std::size_t>(s) * ways_ + w];
-      if (!l.valid) return &l;
-    }
+    const std::size_t base = set_base(line_addr(addr));
+    for (int w = 0; w < ways_; ++w)
+      if (tags_[base + w] & kInvalid) return &lines_[base + w];
     return nullptr;
   }
 
-  /// Least-recently-used valid line in addr's set for which `evictable`
-  /// holds; nullptr when none qualifies.
+  /// Least-recently-used valid line in addr's set for which
+  /// `evictable(tag, line)` holds; nullptr when none qualifies.
   template <typename Pred>
   Line* victim(Addr addr, Pred evictable) {
-    int s = set_of(line_addr(addr));
+    const std::size_t base = set_base(line_addr(addr));
     Line* best = nullptr;
     for (int w = 0; w < ways_; ++w) {
-      Line& l = lines_[static_cast<std::size_t>(s) * ways_ + w];
-      if (!l.valid || !evictable(l)) continue;
+      const Addr tag = tags_[base + w];
+      Line& l = lines_[base + w];
+      if ((tag & kInvalid) || !evictable(tag, l)) continue;
       if (!best || l.last_used < best->last_used) best = &l;
     }
     return best;
   }
 
-  /// Install `addr` in a free way (caller must have made room).
-  Line* install(Addr addr, Cycle now) {
-    Line* l = free_way(addr);
-    RC_ASSERT(l != nullptr, "install without a free way");
-    l->valid = true;
-    l->tag = line_addr(addr);
-    l->last_used = now;
-    l->meta = Meta{};
-    return l;
+  /// Install `addr` in `way`: a free way of addr's set, as returned by
+  /// free_way() or a victim the caller has just invalidated.
+  Line* install(Line* way, Addr addr, Cycle now) {
+    RC_ASSERT(way != nullptr && !valid(index_of(*way)),
+              "install without a free way");
+    tags_[index_of(*way)] = line_addr(addr);
+    way->last_used = now;
+    way->meta = Meta{};
+    return way;
   }
 
-  std::vector<Line>& lines() { return lines_; }
-  const std::vector<Line>& lines() const { return lines_; }
+  /// Tag of a valid line.
+  Addr tag_of(const Line& l) const { return tags_[index_of(l)]; }
+  void invalidate(Line& l) { tags_[index_of(l)] |= kInvalid; }
+
+  // Snapshot access by flat way index (set * ways + way).
+  bool valid(std::size_t i) const { return (tags_[i] & kInvalid) == 0; }
+  /// The way's tag; for an invalid way, the last tag it held.
+  Addr tag(std::size_t i) const { return tags_[i] & ~kInvalid; }
+  Line& line(std::size_t i) { return lines_[i]; }
+  const Line& line(std::size_t i) const { return lines_[i]; }
+
+  /// Every way invalid with tag 0 and a default payload.
+  void clear() {
+    std::fill(tags_.begin(), tags_.end(), kInvalid);
+    std::fill(lines_.begin(), lines_.end(), Line{});
+  }
+
+  /// Snapshot restore of way `i`'s tag. Ways restore in index order. Returns
+  /// nullptr, or why the tag would break the packed index: it is not line-
+  /// aligned (valid or not, as the mark takes the low bit), or — for a valid
+  /// way — it hashes to another set or repeats a valid tag earlier in the set.
+  const char* restore(std::size_t i, bool valid, Addr tag) {
+    if (tag != line_addr(tag)) return "tag is not line-aligned";
+    if (valid) {
+      const std::size_t set = i / static_cast<std::size_t>(ways_);
+      if (static_cast<std::size_t>(set_of(tag)) != set)
+        return "tag belongs to another set";
+      for (std::size_t j = set * ways_; j < i; ++j)
+        if (tags_[j] == tag) return "tag repeats a valid tag in its set";
+    }
+    tags_[i] = valid ? tag : tag | kInvalid;
+    return nullptr;
+  }
 
  private:
+  static constexpr Addr kInvalid = 1;
+
+  static int floor_log2(int n) {
+    int lg = 0;
+    while ((1 << (lg + 1)) <= n) ++lg;
+    return lg;
+  }
+  std::size_t set_base(Addr la) const {
+    return static_cast<std::size_t>(set_of(la)) * ways_;
+  }
+  std::size_t index_of(const Line& l) const {
+    return static_cast<std::size_t>(&l - lines_.data());
+  }
+
   int sets_, ways_;
   int stride_ = 1;
+  int fold_;  ///< floor(log2(sets)): the set-index XOR-fold shift
+  std::vector<Addr> tags_;  ///< per way: line address, | kInvalid when free
   std::vector<Line> lines_;
 };
 

@@ -17,21 +17,23 @@ bool Directory::needs_pointer_recall(const Line& l, NodeId requestor) const {
 }
 
 Directory::Line* Directory::try_install(Addr addr, Cycle now) {
-  if (!array_.free_way(addr)) return nullptr;
-  return array_.install(addr, now);
+  auto* way = array_.free_way(addr);
+  return way ? array_.install(way, addr, now) : nullptr;
 }
 
 Directory::Line* Directory::victim(
     Addr addr, const std::function<bool(Addr)>& evictable) {
-  return array_.victim(addr, [&](const Line& l) { return evictable(l.tag); });
+  return array_.victim(addr, [&](Addr tag, const Line&) {
+    return evictable(tag);
+  });
 }
 
 void Directory::save(StateWriter& w) const {
-  const auto& lines = array_.lines();
-  w.u64(lines.size());
-  for (const auto& l : lines) {
-    w.b(l.valid);
-    w.u64(l.tag);
+  w.u64(array_.size());
+  for (std::size_t i = 0; i < array_.size(); ++i) {
+    const Line& l = array_.line(i);
+    w.b(array_.valid(i));
+    w.u64(array_.tag(i));
     w.u64(l.last_used);
     w.i64(l.meta.owner);
     const auto words = l.meta.sharers.words();
@@ -41,18 +43,22 @@ void Directory::save(StateWriter& w) const {
 }
 
 bool Directory::load(StateReader& r) {
-  auto& lines = array_.lines();
   std::uint64_t n;
   if (!r.u64(&n)) return false;
-  if (n != lines.size())
-    return r.fail("directory has " + std::to_string(lines.size()) +
+  if (n != array_.size())
+    return r.fail("directory has " + std::to_string(array_.size()) +
                   " entries, snapshot has " + std::to_string(n));
-  for (auto& l : lines) {
+  for (std::size_t i = 0; i < array_.size(); ++i) {
+    Line& l = array_.line(i);
+    bool valid;
+    Addr tag;
     std::int64_t owner;
     std::uint64_t nw;
-    if (!(r.b(&l.valid) && r.u64(&l.tag) && r.u64(&l.last_used) &&
+    if (!(r.b(&valid) && r.u64(&tag) && r.u64(&l.last_used) &&
           r.i64(&owner) && r.u64(&nw)))
       return false;
+    if (const char* why = array_.restore(i, valid, tag))
+      return r.fail("directory entry " + std::to_string(i) + ": " + why);
     l.meta.owner = static_cast<NodeId>(owner);
     std::vector<std::uint64_t> words(nw);
     for (std::uint64_t& x : words)

@@ -54,7 +54,8 @@ class Directory {
 
   Line* find(Addr addr) { return array_.find(addr); }
   void touch(Line& l, Cycle now) { array_.touch(l, now); }
-  void release(Line& l) { l.valid = false; }
+  void release(Line& l) { array_.invalidate(l); }
+  Addr tag_of(const Line& l) const { return array_.tag_of(l); }
 
   /// True when nothing is tracked (the entry can be reclaimed silently).
   bool empty(const Line& l) const {

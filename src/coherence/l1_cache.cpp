@@ -53,28 +53,27 @@ bool L1Cache::access(Addr addr, bool is_write, Cycle now) {
   return true;
 }
 
-void L1Cache::evict_for(Addr addr, Cycle now) {
-  if (array_.free_way(addr)) return;
-  auto* v = array_.victim(addr, [](const auto&) { return true; });
+L1Cache::Line* L1Cache::evict_for(Addr addr, Cycle now) {
+  if (auto* way = array_.free_way(addr)) return way;
+  auto* v = array_.victim(addr, [](Addr, const auto&) { return true; });
   RC_ASSERT(v != nullptr, "L1 set has no evictable line");
   if (v->meta.st == L1State::M || v->meta.st == L1State::E) {
     // Table 3, L1 replacement: data to home L2, acknowledged with L2WbAck.
-    auto wb = make(MsgType::WbData, amap_->home_l2(v->tag), v->tag, 5);
+    const Addr tag = array_.tag_of(*v);
+    auto wb = make(MsgType::WbData, amap_->home_l2(tag), tag, 5);
     send_later(std::move(wb), now);
     ++stats_->counter("l1_writebacks");
   } else {
     ++stats_->counter("l1_silent_evicts");
   }
-  v->valid = false;
+  array_.invalidate(*v);
+  return v;
 }
 
 void L1Cache::fill(Addr addr, bool exclusive, Cycle now) {
   RC_ASSERT(mshr_.active && mshr_.addr == addr, "fill without matching MSHR");
   auto* line = array_.find(addr);
-  if (!line) {
-    evict_for(addr, now);
-    line = array_.install(addr, now);
-  }
+  if (!line) line = array_.install(evict_for(addr, now), addr, now);
   array_.touch(*line, now);
   line->meta.st = mshr_.is_write ? L1State::M
                  : exclusive     ? L1State::E
@@ -105,7 +104,7 @@ void L1Cache::handle(const MsgPtr& msg, Cycle now) {
         if (msg->downgrade)
           line->meta.st = L1State::S;  // recall-for-read keeps the copy
         else
-          line->valid = false;
+          array_.invalidate(*line);
       }
       auto ack = make(MsgType::L1InvAck, msg->src, msg->addr, 1);
       send_later(std::move(ack), now + cfg_.l1_hit_latency);
@@ -122,7 +121,7 @@ void L1Cache::handle(const MsgPtr& msg, Cycle now) {
       break;
     }
     case MsgType::FwdGetX: {
-      if (auto* line = array_.find(msg->addr)) line->valid = false;
+      if (auto* line = array_.find(msg->addr)) array_.invalidate(*line);
       auto d = make(MsgType::L1ToL1, msg->fwd_requestor, msg->addr, 5);
       d->undone_marker = msg->undone_marker;
       send_later(std::move(d), now + cfg_.l1_hit_latency);
@@ -156,19 +155,18 @@ L1State L1Cache::state_of(Addr addr) {
 void L1Cache::prewarm_line(Addr addr, L1State st) {
   addr = line_addr(addr);
   if (array_.find(addr)) return;
-  if (!array_.free_way(addr)) return;  // don't evict during warm-up
-  auto* line = array_.install(addr, 0);
-  line->meta.st = st;
+  auto* way = array_.free_way(addr);
+  if (!way) return;  // don't evict during warm-up
+  array_.install(way, addr, 0)->meta.st = st;
 }
 
 void L1Cache::save(StateWriter& w) const {
-  const auto& lines = array_.lines();
-  w.u64(lines.size());
-  for (const auto& l : lines) {
-    w.b(l.valid);
-    w.u64(l.tag);
-    w.u64(l.last_used);
-    w.u8(static_cast<std::uint8_t>(l.meta.st));
+  w.u64(array_.size());
+  for (std::size_t i = 0; i < array_.size(); ++i) {
+    w.b(array_.valid(i));
+    w.u64(array_.tag(i));
+    w.u64(array_.line(i).last_used);
+    w.u8(static_cast<std::uint8_t>(array_.line(i).meta.st));
   }
   w.b(mshr_.active);
   w.u64(mshr_.addr);
@@ -184,18 +182,23 @@ void L1Cache::save(StateWriter& w) const {
 }
 
 bool L1Cache::load(StateReader& r) {
-  auto& lines = array_.lines();
   std::uint64_t n;
   if (!r.u64(&n)) return false;
-  if (n != lines.size())
-    return r.fail("L1 has " + std::to_string(lines.size()) +
+  if (n != array_.size())
+    return r.fail("L1 has " + std::to_string(array_.size()) +
                   " lines, snapshot has " + std::to_string(n));
-  for (auto& l : lines) {
+  for (std::size_t i = 0; i < array_.size(); ++i) {
+    bool valid;
+    Addr tag;
     std::uint8_t st;
-    if (!(r.b(&l.valid) && r.u64(&l.tag) && r.u64(&l.last_used) && r.u8(&st)))
+    auto& l = array_.line(i);
+    if (!(r.b(&valid) && r.u64(&tag) && r.u64(&l.last_used) && r.u8(&st)))
       return false;
     if (st > static_cast<std::uint8_t>(L1State::M))
       return r.fail("L1 line state out of range");
+    if (const char* why = array_.restore(i, valid, tag))
+      return r.fail("L1 of node " + std::to_string(node_) + ", line " +
+                    std::to_string(i) + ": " + why);
     l.meta.st = static_cast<L1State>(st);
   }
   if (!(r.b(&mshr_.active) && r.u64(&mshr_.addr) && r.b(&mshr_.is_write) &&

@@ -68,8 +68,11 @@ class L1Cache : public Ticker {
     Cycle issued = 0;
   };
 
+  using Line = CacheArray<LineMeta>::Line;
+
   void fill(Addr addr, bool exclusive, Cycle now);
-  void evict_for(Addr addr, Cycle now);
+  /// A free way for `addr`, evicting the set's LRU line when it is full.
+  Line* evict_for(Addr addr, Cycle now);
   void send_later(MsgPtr msg, Cycle when);
   MsgPtr make(MsgType t, NodeId dest, Addr addr, int flits) const;
 

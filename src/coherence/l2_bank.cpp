@@ -165,7 +165,7 @@ void L2Bank::handle(const MsgPtr& msg, Cycle now) {
         RC_ASSERT(line != nullptr, "evicting a missing line");
         if (line->meta.dirty)
           send_later(make(MsgType::MemWb, amap_->mem_ctrl(addr), addr, 5), now);
-        line->valid = false;
+        array_.invalidate(*line);
         ++stats_->counter("l2_evictions");
         if (proto_ == Protocol::SparseMSI)
           if (auto* d = dir_->find(addr)) dir_->release(*d);
@@ -441,7 +441,8 @@ Directory::Line* L2Bank::dir_ensure(const MsgPtr& msg, Cycle now) {
   // Broadcast recall storm: every tracked copy of the victim tag must be
   // invalidated (and acked) before the entry can be reused.
   int n = send_dir_invalidations(*victim, kInvalidNode, now);
-  txns_[victim->tag] = Txn{TxnState::DirEvict, nullptr, n, msg->addr, {}};
+  txns_[dir_->tag_of(*victim)] =
+      Txn{TxnState::DirEvict, nullptr, n, msg->addr, {}};
   txns_[msg->addr] = Txn{TxnState::WaitEvict, msg, 0, 0, {}};
   ++stats_->counter("l2_dir_evict_recalls");
   return nullptr;
@@ -449,14 +450,15 @@ Directory::Line* L2Bank::dir_ensure(const MsgPtr& msg, Cycle now) {
 
 int L2Bank::send_dir_invalidations(const Directory::Line& entry, NodeId except,
                                    Cycle now) {
+  const Addr tag = dir_->tag_of(entry);
   int n = 0;
   entry.meta.sharers.for_each([&](NodeId s) {
     if (s == except) return;
-    send_later(make(MsgType::Inv, s, entry.tag, 1), now + cfg_.l2_hit_latency);
+    send_later(make(MsgType::Inv, s, tag, 1), now + cfg_.l2_hit_latency);
     ++n;
   });
   if (entry.meta.owner != kInvalidNode && entry.meta.owner != except) {
-    send_later(make(MsgType::Inv, entry.meta.owner, entry.tag, 1),
+    send_later(make(MsgType::Inv, entry.meta.owner, tag, 1),
                now + cfg_.l2_hit_latency);
     ++n;
   }
@@ -465,14 +467,15 @@ int L2Bank::send_dir_invalidations(const Directory::Line& entry, NodeId except,
 }
 
 int L2Bank::send_invalidations(const Line& line, NodeId except, Cycle now) {
+  const Addr tag = array_.tag_of(line);
   int n = 0;
   line.meta.sharers.for_each([&](NodeId s) {
     if (s == except) return;
-    send_later(make(MsgType::Inv, s, line.tag, 1), now + cfg_.l2_hit_latency);
+    send_later(make(MsgType::Inv, s, tag, 1), now + cfg_.l2_hit_latency);
     ++n;
   });
   if (line.meta.owner != kInvalidNode && line.meta.owner != except) {
-    send_later(make(MsgType::Inv, line.meta.owner, line.tag, 1),
+    send_later(make(MsgType::Inv, line.meta.owner, tag, 1),
                now + cfg_.l2_hit_latency);
     ++n;
   }
@@ -499,8 +502,8 @@ void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
     proceed_miss(msg->addr, msg, now);
     return;
   }
-  auto* victim = array_.victim(msg->addr, [&](const Line& l) {
-    return !l.meta.fetching && txns_.find(l.tag) == txns_.end();
+  auto* victim = array_.victim(msg->addr, [&](Addr tag, const Line& l) {
+    return !l.meta.fetching && txns_.find(tag) == txns_.end();
   });
   if (!victim) {
     retry_.push_back(msg);  // every way busy: retry next cycle
@@ -508,14 +511,15 @@ void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
     ++stats_->counter("l2_victim_stall");
     return;
   }
+  const Addr vtag = array_.tag_of(*victim);
   if (proto_ == Protocol::SparseMSI) {
     // L1 copies live wherever the sparse directory says they do. A line
     // with no entry (or an emptied one) evicts silently; otherwise the
     // inclusive recall goes to the entry's tracked population.
-    if (auto* d = dir_->find(victim->tag)) {
+    if (auto* d = dir_->find(vtag)) {
       if (!dir_->empty(*d)) {
         int n = send_dir_invalidations(*d, kInvalidNode, now);
-        txns_[victim->tag] = Txn{TxnState::EvictInv, nullptr, n, msg->addr, {}};
+        txns_[vtag] = Txn{TxnState::EvictInv, nullptr, n, msg->addr, {}};
         txns_[msg->addr] = Txn{TxnState::WaitEvict, msg, 0, 0, {}};
         return;
       }
@@ -525,15 +529,14 @@ void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
     // Inclusive L2: recall/invalidate the L1 copies first (write-or-
     // replacement invalidation of Table 3).
     int n = send_invalidations(*victim, kInvalidNode, now);
-    txns_[victim->tag] = Txn{TxnState::EvictInv, nullptr, n, msg->addr, {}};
+    txns_[vtag] = Txn{TxnState::EvictInv, nullptr, n, msg->addr, {}};
     txns_[msg->addr] = Txn{TxnState::WaitEvict, msg, 0, 0, {}};
     return;
   }
   if (victim->meta.dirty)
-    send_later(make(MsgType::MemWb, amap_->mem_ctrl(victim->tag),
-                    victim->tag, 5),
+    send_later(make(MsgType::MemWb, amap_->mem_ctrl(vtag), vtag, 5),
                now + cfg_.l2_hit_latency);
-  victim->valid = false;
+  array_.invalidate(*victim);
   ++stats_->counter("l2_evictions");
   proceed_miss(msg->addr, msg, now);
 }
@@ -545,7 +548,7 @@ void L2Bank::proceed_miss(Addr addr, const MsgPtr& msg, Cycle now) {
     waiting = std::move(it->second.waiting);
     txns_.erase(it);
   }
-  auto* line = array_.install(addr, now);
+  auto* line = array_.install(array_.free_way(addr), addr, now);
   line->meta.fetching = true;
   Txn t;
   t.st = TxnState::WaitMem;
@@ -599,8 +602,9 @@ bool L2Bank::prewarm_line(Addr addr, NodeId owner) {
   addr = line_addr(addr);
   if (proto_ == Protocol::SparseMSI) {
     if (!array_.find(addr)) {
-      if (!array_.free_way(addr)) return false;
-      array_.install(addr, 0);
+      auto* way = array_.free_way(addr);
+      if (!way) return false;
+      array_.install(way, addr, 0);
     }
     if (owner == kInvalidNode) return true;
     auto* d = dir_->find(addr);
@@ -610,9 +614,9 @@ bool L2Bank::prewarm_line(Addr addr, NodeId owner) {
     return true;
   }
   if (array_.find(addr)) return true;
-  if (!array_.free_way(addr)) return false;
-  auto* line = array_.install(addr, 0);
-  line->meta.owner = owner;
+  auto* way = array_.free_way(addr);
+  if (!way) return false;
+  array_.install(way, addr, 0)->meta.owner = owner;
   return true;
 }
 
@@ -624,19 +628,18 @@ void L2Bank::save(StateWriter& w) const {
   // valid lines only; install() resets meta), so resetting them to the
   // default Line on load is exact, and save -> load -> save stays a fixed
   // point.
-  const auto& lines = array_.lines();
-  w.u64(lines.size());
+  w.u64(array_.size());
   std::uint64_t nvalid = 0;
-  for (const auto& l : lines)
-    if (l.valid) ++nvalid;
+  for (std::size_t i = 0; i < array_.size(); ++i)
+    if (array_.valid(i)) ++nvalid;
   w.vu64(nvalid);
   std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    const auto& l = lines[i];
-    if (!l.valid) continue;
+  for (std::size_t i = 0; i < array_.size(); ++i) {
+    if (!array_.valid(i)) continue;
+    const Line& l = array_.line(i);
     w.vu64(i - prev);  // gap from the previous valid index (first: from 0)
     prev = i;
-    w.vu64(l.tag / kLineBytes);
+    w.vu64(array_.tag(i) / kLineBytes);
     w.vu64(l.last_used);
     w.u8(static_cast<std::uint8_t>((l.meta.dirty ? 1 : 0) |
                                    (l.meta.fetching ? 2 : 0)));
@@ -670,19 +673,18 @@ void L2Bank::save(StateWriter& w) const {
 }
 
 bool L2Bank::load(StateReader& r) {
-  auto& lines = array_.lines();
   std::uint64_t n;
   if (!r.u64(&n)) return false;
-  if (n != lines.size())
-    return r.fail("L2 has " + std::to_string(lines.size()) +
+  if (n != array_.size())
+    return r.fail("L2 has " + std::to_string(array_.size()) +
                   " lines, snapshot has " + std::to_string(n));
-  for (auto& l : lines) l = {};
+  array_.clear();
   std::uint64_t nvalid;
   if (!r.vu64(&nvalid)) return false;
-  if (nvalid > lines.size())
+  if (nvalid > array_.size())
     return r.fail("snapshot claims " + std::to_string(nvalid) +
                   " valid lines in an L2 bank of " +
-                  std::to_string(lines.size()));
+                  std::to_string(array_.size()));
   std::uint64_t idx = 0;
   for (std::uint64_t i = 0; i < nvalid; ++i) {
     std::uint64_t gap, tagline, last_used, owner1, nw;
@@ -692,17 +694,18 @@ bool L2Bank::load(StateReader& r) {
       return false;
     if (i > 0 && gap == 0) return r.fail("duplicate L2 line index");
     idx += gap;
-    if (idx >= lines.size()) return r.fail("L2 line index out of range");
+    if (idx >= array_.size()) return r.fail("L2 line index out of range");
     if (flags > 3) return r.fail("L2 line flags out of range");
-    Line& l = lines[idx];
-    l.valid = true;
-    l.tag = tagline * kLineBytes;
+    if (const char* why = array_.restore(idx, true, tagline * kLineBytes))
+      return r.fail("L2 bank " + std::to_string(node_) + ", line " +
+                    std::to_string(idx) + ": " + why);
+    Line& l = array_.line(idx);
     l.last_used = last_used;
     l.meta.dirty = (flags & 1) != 0;
     l.meta.fetching = (flags & 2) != 0;
     l.meta.owner =
         static_cast<NodeId>(static_cast<std::int64_t>(owner1) - 1);
-    if (nw > lines.size())
+    if (nw > array_.size())
       return r.fail("L2 sharer vector impossibly wide");
     std::vector<std::uint64_t> words(nw);
     for (std::uint64_t& x : words)

@@ -1,71 +1,14 @@
 // Second round of unit tests: memory controller timing, core pacing,
-// cache-array mechanics, L1/L2 eviction paths, ideal-mode conflict
-// buffering and fragmented VC claim/release behaviour.
+// L1/L2 eviction paths, ideal-mode conflict buffering and fragmented VC
+// claim/release behaviour.
 #include <gtest/gtest.h>
 
-#include <set>
-
-#include "coherence/cache_array.hpp"
 #include "noc/network.hpp"
 #include "sim/presets.hpp"
 #include "sim/system.hpp"
 
 namespace rc {
 namespace {
-
-// ------------------------------------------------------------ cache array
-struct Meta {
-  int state = 0;
-};
-
-TEST(CacheArrayTest, InstallFindTouch) {
-  CacheArray<Meta> arr(8, 2);
-  EXPECT_EQ(arr.find(0x1000), nullptr);
-  auto* l = arr.install(0x1000, 5);
-  ASSERT_NE(l, nullptr);
-  l->meta.state = 3;
-  auto* f = arr.find(0x1000 + 13);  // same line, different offset
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->meta.state, 3);
-}
-
-TEST(CacheArrayTest, VictimIsLru) {
-  CacheArray<Meta> arr(1, 4);  // single set
-  Addr a[5];
-  for (int i = 0; i < 4; ++i) {
-    a[i] = static_cast<Addr>(i) * 64;
-    arr.install(a[i], static_cast<Cycle>(i + 1));
-  }
-  EXPECT_EQ(arr.free_way(0x9999), nullptr);
-  arr.touch(*arr.find(a[0]), 100);  // a[0] becomes most recent
-  auto* v = arr.victim(0x9999, [](const auto&) { return true; });
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->tag, a[1]);  // oldest untouched
-}
-
-TEST(CacheArrayTest, VictimRespectsPredicate) {
-  CacheArray<Meta> arr(1, 2);
-  arr.install(0, 1);
-  arr.install(64, 2);
-  auto* v = arr.victim(0x9999, [](const CacheArray<Meta>::Line& l) {
-    return l.tag != 0;  // line 0 is pinned
-  });
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->tag, 64u);
-}
-
-TEST(CacheArrayTest, HashedIndexSpreadsAlignedRegions) {
-  // Power-of-two-aligned regions must not alias into a few sets (the bug
-  // class that once crippled the distributed L2).
-  CacheArray<Meta> arr(128, 4, /*stride=*/16);
-  std::set<int> sets;
-  for (int c = 0; c < 8; ++c) {
-    Addr base = 0x1'0000'0000ull + static_cast<Addr>(c) * 0x0'1000'0000ull;
-    for (int i = 0; i < 32; ++i)
-      sets.insert(arr.set_of(base + static_cast<Addr>(i * 16) * 64));
-  }
-  EXPECT_GT(sets.size(), 64u);
-}
 
 // --------------------------------------------------------------- L1 paths
 struct ProtoHarness {

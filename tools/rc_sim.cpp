@@ -24,7 +24,8 @@
 //     --save-at N         take the snapshot at cycle N instead
 //     --load-state FILE   resume from a snapshot; the configuration must
 //                         match the snapshot's digest on every field except
-//                         --cycles, shards and tick mode (mismatch: exit 2)
+//                         --cycles, shards and tick mode (a mismatch, or a
+//                         snapshot that fails to load: exit 2)
 //     --csv               machine-readable one-line-per-run output
 //     --point-out FILE    single-point mode for rc-dse: write the run result
 //                         as one JSON line to FILE (atomic rename)
@@ -159,11 +160,10 @@ RunResult run(const Options& o, const std::string& preset,
 
   if (!o.load_state.empty()) {
     std::string serr;
-    const SnapshotStatus st = load_snapshot(&sys, o.load_state, &serr);
-    if (st != SnapshotStatus::Ok) {
+    if (load_snapshot(&sys, o.load_state, &serr) != SnapshotStatus::Ok) {
       std::fprintf(stderr, "rc-sim: --load-state %s: %s\n",
                    o.load_state.c_str(), serr.c_str());
-      std::exit(st == SnapshotStatus::ConfigMismatch ? 2 : 1);
+      std::exit(2);
     }
     std::fprintf(stderr, "[rc-sim] resumed at cycle %llu from %s\n",
                  static_cast<unsigned long long>(sys.now()),
