@@ -72,6 +72,24 @@ class CacheArray {
     return nullptr;
   }
 
+  /// find() and free_way() in one scan of addr's set: the line holding
+  /// `addr` (hit), else the first free way (not a hit), else nullptr.
+  struct Probe {
+    Line* line;
+    bool hit;
+  };
+  Probe probe(Addr addr) {
+    const Addr la = line_addr(addr);
+    const std::size_t base = set_base(la);
+    Line* free = nullptr;
+    for (int w = 0; w < ways_; ++w) {
+      const Addr tag = tags_[base + w];
+      if (tag == la) return {&lines_[base + w], true};
+      if (!free && (tag & kInvalid)) free = &lines_[base + w];
+    }
+    return {free, false};
+  }
+
   /// Least-recently-used valid line in addr's set for which
   /// `evictable(tag, line)` holds; nullptr when none qualifies.
   template <typename Pred>

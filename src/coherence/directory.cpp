@@ -16,9 +16,10 @@ bool Directory::needs_pointer_recall(const Line& l, NodeId requestor) const {
   return l.meta.sharers.count() >= pointers_;
 }
 
-Directory::Line* Directory::try_install(Addr addr, Cycle now) {
-  auto* way = array_.free_way(addr);
-  return way ? array_.install(way, addr, now) : nullptr;
+Directory::Line* Directory::find_or_install(Addr addr, Cycle now) {
+  const auto p = array_.probe(addr);
+  if (p.hit || !p.line) return p.line;
+  return array_.install(p.line, addr, now);
 }
 
 Directory::Line* Directory::victim(

@@ -66,9 +66,10 @@ class Directory {
   /// in use).
   bool needs_pointer_recall(const Line& l, NodeId requestor) const;
 
-  /// Install in a free way of addr's set; nullptr when the set is full
-  /// (the caller must evict a victim() first).
-  Line* try_install(Addr addr, Cycle now);
+  /// addr's entry, installed in a free way of its set when absent; nullptr
+  /// when absent and the set is full (the caller must evict a victim()
+  /// first). One scan of the set either way.
+  Line* find_or_install(Addr addr, Cycle now);
 
   /// LRU entry in addr's set whose tag satisfies `evictable` (the L2 bank
   /// excludes tags with an outstanding transaction); nullptr when none.

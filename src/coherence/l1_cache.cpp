@@ -153,11 +153,9 @@ L1State L1Cache::state_of(Addr addr) {
 }
 
 void L1Cache::prewarm_line(Addr addr, L1State st) {
-  addr = line_addr(addr);
-  if (array_.find(addr)) return;
-  auto* way = array_.free_way(addr);
-  if (!way) return;  // don't evict during warm-up
-  array_.install(way, addr, 0)->meta.st = st;
+  const auto p = array_.probe(addr);
+  if (p.hit || !p.line) return;  // present, or a full set: no warm-up evictions
+  array_.install(p.line, addr, 0)->meta.st = st;
 }
 
 void L1Cache::save(StateWriter& w) const {

@@ -418,8 +418,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
 }
 
 Directory::Line* L2Bank::dir_ensure(const MsgPtr& msg, Cycle now) {
-  if (auto* d = dir_->find(msg->addr)) return d;
-  if (auto* d = dir_->try_install(msg->addr, now)) return d;
+  if (auto* d = dir_->find_or_install(msg->addr, now)) return d;
   auto* victim = dir_->victim(msg->addr, [&](Addr tag) {
     return txns_.find(tag) == txns_.end();
   });
@@ -434,7 +433,7 @@ Directory::Line* L2Bank::dir_ensure(const MsgPtr& msg, Cycle now) {
     // silently, no recalls needed.
     dir_->release(*victim);
     ++stats_->counter("l2_dir_evictions");
-    auto* d = dir_->try_install(msg->addr, now);
+    auto* d = dir_->find_or_install(msg->addr, now);
     RC_ASSERT(d != nullptr, "released entry not reusable");
     return d;
   }
@@ -599,24 +598,19 @@ NodeId L2Bank::owner_of(Addr addr) {
 }
 
 bool L2Bank::prewarm_line(Addr addr, NodeId owner) {
-  addr = line_addr(addr);
+  const auto p = array_.probe(addr);
   if (proto_ == Protocol::SparseMSI) {
-    if (!array_.find(addr)) {
-      auto* way = array_.free_way(addr);
-      if (!way) return false;
-      array_.install(way, addr, 0);
-    }
+    if (!p.line) return false;
+    if (!p.hit) array_.install(p.line, addr, 0);
     if (owner == kInvalidNode) return true;
-    auto* d = dir_->find(addr);
-    if (!d) d = dir_->try_install(addr, 0);
+    auto* d = dir_->find_or_install(addr, 0);
     if (!d) return false;  // directory set full: the L1 copy stays untracked
     d->meta.owner = owner;
     return true;
   }
-  if (array_.find(addr)) return true;
-  auto* way = array_.free_way(addr);
-  if (!way) return false;
-  array_.install(way, addr, 0)->meta.owner = owner;
+  if (p.hit) return true;
+  if (!p.line) return false;
+  array_.install(p.line, addr, 0)->meta.owner = owner;
   return true;
 }
 

@@ -90,6 +90,8 @@ class L2Bank : public Ticker {
     std::deque<MsgPtr> waiting;  ///< requests queued behind the blocked line
   };
   using Line = CacheArray<LineMeta>::Line;
+  // A 1 MB bank holds 16K lines: every byte of the payload costs 16 KB.
+  static_assert(sizeof(Line) == 32, "L2 line payload grew past 32 bytes");
 
   void process_cpu_req(const MsgPtr& msg, Cycle now);
   void process_cpu_req_sparse(const MsgPtr& msg, Cycle now);

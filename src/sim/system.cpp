@@ -1,5 +1,7 @@
 #include "sim/system.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "common/state.hpp"
@@ -193,9 +195,52 @@ void System::prewarm() {
   if (prewarmed_ || cfg_.workload == "none") return;
   prewarmed_ = true;
   const int n = cfg_.noc.num_nodes();
+  const bool sparse = cfg_.protocol == Protocol::SparseMSI;
   auto hot_count = [](std::uint32_t lines, double frac) {
     auto h = static_cast<std::uint32_t>(lines * frac);
     return h ? h : 1u;
+  };
+  // Installs queue in program order and land a chunk at a time, bank by
+  // bank, so each bank's arrays are walked in one run per chunk rather than
+  // interleaved with every other bank's. Banks share no state and each still
+  // sees its own installs in program order, so every set fills exactly as a
+  // program-order pass would fill it. The chunk bound keeps the queue small:
+  // a list of the whole prewarm would be live at the footprint's peak.
+  struct Install {
+    Addr addr;
+    NodeId owner;  ///< hot L1 owner, or kInvalidNode for an L2-only line
+    NodeId bank;
+  };
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::vector<Install> chunk;
+  chunk.reserve(kChunk);
+  std::vector<std::uint32_t> order, bank_pos(static_cast<std::size_t>(n) + 1);
+  auto flush = [&] {
+    // Stable counting sort of the chunk by home bank.
+    std::fill(bank_pos.begin(), bank_pos.end(), 0);
+    for (const Install& op : chunk) ++bank_pos[op.bank + 1];
+    for (int b = 0; b < n; ++b) bank_pos[b + 1] += bank_pos[b];
+    order.resize(chunk.size());
+    for (std::uint32_t i = 0; i < chunk.size(); ++i)
+      order[bank_pos[chunk[i].bank]++] = i;
+    for (std::uint32_t i : order) {
+      Install& op = chunk[i];
+      // Directory capacity gates a SparseMSI L1 copy: an untracked modified
+      // line would dodge recalls. Full-map MESI plants it regardless.
+      if (!l2s_[op.bank]->prewarm_line(op.addr, op.owner) && sparse)
+        op.owner = kInvalidNode;
+    }
+    // The chunk's hot L1 copies, in program order. MSI has no E, so hot
+    // lines warm up in M.
+    for (const Install& op : chunk)
+      if (op.owner != kInvalidNode)
+        l1s_[op.owner]->prewarm_line(op.addr,
+                                     sparse ? L1State::M : L1State::E);
+    chunk.clear();
+  };
+  auto install = [&](Addr a, NodeId owner) {
+    chunk.push_back({a, owner, amap_->home_l2(a)});
+    if (chunk.size() == kChunk) flush();
   };
   // Private hot sets: L1-resident, exclusively owned, present in the L2
   // home bank with the owning core in the directory. The rest of every
@@ -209,22 +254,9 @@ void System::prewarm() {
     const std::uint32_t priv_hot =
         hot_count(prof.private_lines, prof.hot_fraction);
     Addr base = kPrivateBase + static_cast<Addr>(c) * kPrivateStride;
-    for (std::uint32_t i = 0; i < priv_hot; ++i) {
-      Addr a = base + static_cast<Addr>(i) * kLineBytes;
-      if (cfg_.protocol == Protocol::SparseMSI) {
-        // Directory capacity gates the L1 copy: an untracked modified line
-        // would dodge recalls. MSI has no E, so hot lines warm up in M.
-        if (l2s_[amap_->home_l2(a)]->prewarm_line(a, c))
-          l1s_[c]->prewarm_line(a, L1State::M);
-      } else {
-        l1s_[c]->prewarm_line(a, L1State::E);
-        l2s_[amap_->home_l2(a)]->prewarm_line(a, c);
-      }
-    }
-    for (std::uint32_t i = priv_hot; i < prof.private_lines; ++i) {
-      Addr a = base + static_cast<Addr>(i) * kLineBytes;
-      l2s_[amap_->home_l2(a)]->prewarm_line(a, kInvalidNode);
-    }
+    for (std::uint32_t i = 0; i < prof.private_lines; ++i)
+      install(base + static_cast<Addr>(i) * kLineBytes,
+              i < priv_hot ? c : kInvalidNode);
   }
   // Shared/migratory regions: every partition gets its slice (one slice,
   // offset zero, when the chip is monolithic). Sizes follow the largest
@@ -237,15 +269,14 @@ void System::prewarm() {
   const int nparts = amap_->num_partitions();
   for (int p = 0; p < nparts; ++p) {
     const Addr soff = static_cast<Addr>(p) * kPartitionSharedSpan;
-    for (std::uint32_t i = 0; i < shared_lines; ++i) {
-      Addr a = kSharedBase + soff + static_cast<Addr>(i) * kLineBytes;
-      l2s_[amap_->home_l2(a)]->prewarm_line(a, kInvalidNode);
-    }
-    for (std::uint32_t i = 0; i < mig_lines; ++i) {
-      Addr a = kMigratoryBase + soff + static_cast<Addr>(i) * kLineBytes;
-      l2s_[amap_->home_l2(a)]->prewarm_line(a, kInvalidNode);
-    }
+    for (std::uint32_t i = 0; i < shared_lines; ++i)
+      install(kSharedBase + soff + static_cast<Addr>(i) * kLineBytes,
+              kInvalidNode);
+    for (std::uint32_t i = 0; i < mig_lines; ++i)
+      install(kMigratoryBase + soff + static_cast<Addr>(i) * kLineBytes,
+              kInvalidNode);
   }
+  flush();
 }
 
 Cycle System::run() {

@@ -146,6 +146,9 @@ void run_against_reference(const Geometry& g, std::uint64_t seed) {
     auto* l = arr.find(a);
     auto* rl = ref.find(a);
     ASSERT_EQ(index_of(arr, l), ref_index_of(ref, rl)) << "find, op " << op;
+    const auto probe = arr.probe(a);
+    ASSERT_EQ(probe.hit, l != nullptr) << "probe, op " << op;
+    ASSERT_EQ(probe.line, l ? l : arr.free_way(a)) << "probe, op " << op;
     switch (rng() % 5) {
       case 0:  // fill: install in a free way, or evict the LRU victim
       case 1: {

@@ -414,6 +414,101 @@ TEST(SharerSetTest, AnyBesidesAndAssignOnly) {
   EXPECT_TRUE(s.none());
 }
 
+std::vector<NodeId> members(const SharerSet& s) {
+  std::vector<NodeId> out;
+  s.for_each([&](NodeId n) { out.push_back(n); });
+  return out;
+}
+
+TEST(SharerSetTest, CopyIsDeepAndMoveEmptiesTheSource) {
+  SharerSet a;
+  for (NodeId n : {1, 64, 200}) a.add(n);
+  SharerSet b(a);
+  b.add(300);
+  b.remove(64);
+  EXPECT_EQ(members(a), (std::vector<NodeId>{1, 64, 200}));
+  EXPECT_EQ(members(b), (std::vector<NodeId>{1, 200, 300}));
+  SharerSet c;
+  c.add(700);
+  c = a;  // copy-assign over an existing spill
+  a.add(129);
+  EXPECT_EQ(members(c), (std::vector<NodeId>{1, 64, 200}));
+  EXPECT_EQ(c.words(), (std::vector<std::uint64_t>{2, 1, 0, 1ull << 8}));
+
+  SharerSet d(std::move(a));
+  EXPECT_EQ(members(d), (std::vector<NodeId>{1, 64, 129, 200}));
+  EXPECT_TRUE(a.none());  // a moved-from set is empty
+  EXPECT_EQ(a.words(), (std::vector<std::uint64_t>{0}));
+  SharerSet e;
+  e.add(5);
+  e = std::move(d);
+  EXPECT_EQ(members(e), (std::vector<NodeId>{1, 64, 129, 200}));
+  a.add(66);  // a moved-from set is reusable
+  EXPECT_EQ(members(a), (std::vector<NodeId>{66}));
+}
+
+TEST(SharerSetTest, SelfAssignmentKeepsMembers) {
+  SharerSet s;
+  for (NodeId n : {0, 63, 64, 1000}) s.add(n);
+  SharerSet& alias = s;
+  s = alias;
+  EXPECT_EQ(members(s), (std::vector<NodeId>{0, 63, 64, 1000}));
+  s = std::move(alias);
+  EXPECT_EQ(members(s), (std::vector<NodeId>{0, 63, 64, 1000}));
+}
+
+TEST(SharerSetTest, ClearDropsTheSpill) {
+  SharerSet s;
+  s.add(3);
+  s.add(500);
+  s.clear();
+  EXPECT_TRUE(s.none());
+  EXPECT_FALSE(s.test(500));
+  EXPECT_EQ(s.count(), 0);
+  EXPECT_EQ(s.words(), (std::vector<std::uint64_t>{0}));
+  s.add(65);  // grows afresh: only the words up to node 65
+  EXPECT_EQ(s.words(), (std::vector<std::uint64_t>{0, 2}));
+}
+
+TEST(SharerSetTest, WordsRoundTripKeepsTrailingZeroSpill) {
+  SharerSet s;
+  s.add(300);
+  s.remove(300);  // spill stays four words long, all zero
+  EXPECT_TRUE(s.none());
+  EXPECT_EQ(s.words(), (std::vector<std::uint64_t>(5, 0)));
+
+  const std::vector<std::uint64_t> w{9, 0, 4, 0, 0};
+  SharerSet t;
+  t.add(900);  // replaced wholesale by set_words
+  t.set_words(w);
+  EXPECT_EQ(t.words(), w);
+  EXPECT_EQ(members(t), (std::vector<NodeId>{0, 3, 130}));
+  EXPECT_EQ(SharerSet(t).words(), w);  // copies keep the length too
+  t.set_words({7});
+  EXPECT_EQ(t.words(), (std::vector<std::uint64_t>{7}));
+  t.set_words({});
+  EXPECT_EQ(t.words(), (std::vector<std::uint64_t>{0}));
+}
+
+TEST(SharerSetTest, HighMembersSurviveCopyAndMove) {
+  SharerSet s;
+  for (NodeId n = 64; n < 1024; n += 97) s.add(n);
+  const std::vector<NodeId> want = members(s);
+  ASSERT_EQ(want.size(), 10u);
+  SharerSet copy = s;
+  SharerSet moved = std::move(s);
+  for (const SharerSet* x : {&copy, &moved}) {
+    EXPECT_EQ(members(*x), want);
+    EXPECT_EQ(x->count(), 10);
+    EXPECT_EQ(x->lowest_besides(64), 161);
+    for (NodeId n : want) EXPECT_TRUE(x->test(n));
+  }
+  std::vector<SharerSet> grown(1, copy);  // vector growth moves elements
+  for (int i = 0; i < 100; ++i) grown.push_back(copy);
+  EXPECT_EQ(members(grown.front()), want);
+  EXPECT_EQ(members(grown.back()), want);
+}
+
 // ------------------------------------------------------- whole-system runs
 
 /// Scoped environment variable (set on entry, restore on exit).
