@@ -1,25 +1,11 @@
 #include "circuits/circuit_manager.hpp"
 
-#include <string>
-
 namespace rc {
-
-namespace {
-constexpr const char* kNthNames[] = {
-    "circ_reserve_1st", "circ_reserve_2nd", "circ_reserve_3rd",
-    "circ_reserve_4th", "circ_reserve_5th", "circ_reserve_6plus",
-};
-}  // namespace
 
 CircuitManager::CircuitManager(const CircuitConfig& cfg, StatSet* stats)
     : cfg_(cfg), stats_(stats) {
   int cap = cfg_.mode == CircuitMode::Ideal ? -1 : cfg_.circuits_per_input;
   for (auto& t : tables_) t = CircuitTable(cap);
-  reservations_ = LazyCounter(stats_, "circ_reservations");
-  entries_undone_ = LazyCounter(stats_, "circ_entries_undone");
-  fail_conflict_ = LazyCounter(stats_, "circ_fail_conflict");
-  fail_storage_ = LazyCounter(stats_, "circ_fail_storage");
-  for (int i = 0; i < 6; ++i) nth_[i] = LazyCounter(stats_, kNthNames[i]);
 }
 
 ReserveResult CircuitManager::try_reserve(Cycle now, const ReserveRequest& req,
@@ -35,9 +21,10 @@ ReserveResult CircuitManager::try_reserve(Cycle now, const ReserveRequest& req,
   entry.slot_start = req.slot_start;
   entry.slot_end = req.slot_end;
 
-  auto fail = [&](ReserveFail why, LazyCounter& counter) {
+  auto fail = [&](ReserveFail why) {
     res.fail = why;
-    ++counter;
+    ++stats_->at(why == ReserveFail::Storage ? Ctr::circ_fail_storage
+                                             : Ctr::circ_fail_conflict);
     return res;
   };
 
@@ -54,9 +41,9 @@ ReserveResult CircuitManager::try_reserve(Cycle now, const ReserveRequest& req,
       // the output port (that is what keeps resources busy and motivates
       // the third reply VC, §4.2). No free VC, or a full table, fails it.
       if (in_table.live_count(now) >= in_table.capacity())
-        return fail(ReserveFail::Storage, fail_storage_);
+        return fail(ReserveFail::Storage);
       if (req.free_circuit_vcs == 0)
-        return fail(ReserveFail::OutputConflict, fail_conflict_);
+        return fail(ReserveFail::OutputConflict);
       for (int v = 0; v < 32; ++v) {
         if (req.free_circuit_vcs & (1u << v)) {
           entry.vc = v;
@@ -69,17 +56,17 @@ ReserveResult CircuitManager::try_reserve(Cycle now, const ReserveRequest& req,
 
     case CircuitMode::Complete: {
       if (in_table.live_count(now) >= in_table.capacity())
-        return fail(ReserveFail::Storage, fail_storage_);
+        return fail(ReserveFail::Storage);
 
       if (!cfg_.is_timed()) {
         // §4.2: all circuits at one input port must share a source...
         if (in_table.has_other_source(req.src, now))
-          return fail(ReserveFail::SameSource, fail_conflict_);
+          return fail(ReserveFail::SameSource);
         // ...and two circuits from different inputs cannot share an output.
         for (int p = 0; p < kNumDirs; ++p) {
           if (p == req.in_port) continue;
           if (tables_[p].conflicting_output(req.out_port, 0, kNeverCycle, now))
-            return fail(ReserveFail::OutputConflict, fail_conflict_);
+            return fail(ReserveFail::OutputConflict);
         }
       } else {
         // §4.7: conflicts are time-slot overlaps. Check the output port
@@ -89,7 +76,7 @@ ReserveResult CircuitManager::try_reserve(Cycle now, const ReserveRequest& req,
         for (int attempt = 0; attempt <= budget; ++attempt) {
           Cycle s = req.slot_start + static_cast<Cycle>(shift);
           Cycle e = req.slot_end;
-          if (s > e) return fail(ReserveFail::SlotConflict, fail_conflict_);
+          if (s > e) return fail(ReserveFail::SlotConflict);
           const CircuitEntry* c = in_table.conflicting_slot(s, e, now);
           for (int p = 0; !c && p < kNumDirs; ++p) {
             if (p == req.in_port) continue;
@@ -103,15 +90,15 @@ ReserveResult CircuitManager::try_reserve(Cycle now, const ReserveRequest& req,
           // Shifting right only helps when the blocker ends before our slot
           // does; otherwise (or with no delay budget) the reservation fails.
           if (!allow_delay || c->slot_end >= e || c->slot_end < s)
-            return fail(ReserveFail::SlotConflict, fail_conflict_);
+            return fail(ReserveFail::SlotConflict);
           int needed = static_cast<int>(c->slot_end + 1 - req.slot_start);
           if (needed <= shift || needed > budget)
-            return fail(ReserveFail::SlotConflict, fail_conflict_);
+            return fail(ReserveFail::SlotConflict);
           shift = needed;
           res.extra_delay = shift;
         }
         if (res.extra_delay > budget)
-          return fail(ReserveFail::SlotConflict, fail_conflict_);
+          return fail(ReserveFail::SlotConflict);
       }
       break;
     }
@@ -119,10 +106,11 @@ ReserveResult CircuitManager::try_reserve(Cycle now, const ReserveRequest& req,
 
   int occupancy = in_table.live_count(now);
   if (!in_table.insert(entry, now))
-    return fail(ReserveFail::Storage, fail_storage_);
+    return fail(ReserveFail::Storage);
 
-  ++nth_[occupancy < 5 ? occupancy : 5];
-  ++reservations_;
+  ++stats_->at(static_cast<Ctr>(static_cast<int>(Ctr::circ_reserve_1st) +
+                                (occupancy < 5 ? occupancy : 5)));
+  ++stats_->at(Ctr::circ_reservations);
   res.ok = true;
   return res;
 }
@@ -145,7 +133,7 @@ std::optional<CircuitEntry> CircuitManager::undo(Port in_port,
                                                  Cycle now) {
   auto e = tables_[in_port].release_instance(rec.circuit_dest, rec.addr,
                                              rec.owner_req, now);
-  if (e) ++entries_undone_;
+  if (e) ++stats_->at(Ctr::circ_entries_undone);
   return e;
 }
 

@@ -92,8 +92,7 @@ class CircuitManager {
       tables_[p].set_observer(obs, node, static_cast<Port>(p));
   }
 
-  /// Snapshot save/load: the per-port tables. The LazyCounter caches point
-  /// into the router's StatSet, which restores separately and in place.
+  /// Snapshot save/load: the per-port tables (counters live in the StatSet).
   void save(StateWriter& w) const {
     for (const auto& t : tables_) t.save(w);
   }
@@ -106,14 +105,6 @@ class CircuitManager {
  private:
   CircuitConfig cfg_;
   StatSet* stats_;
-  // Cached counters: try_reserve runs per request head per hop, and
-  // string-keyed StatSet lookups there dominate the reservation cost.
-  // Lazy so a counter that never fires never appears in the report.
-  LazyCounter reservations_;
-  LazyCounter entries_undone_;
-  LazyCounter fail_conflict_;
-  LazyCounter fail_storage_;
-  std::array<LazyCounter, 6> nth_;  ///< circ_reserve_1st..6plus
   std::array<CircuitTable, kNumDirs> tables_;
 };
 

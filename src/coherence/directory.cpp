@@ -9,7 +9,7 @@ namespace rc {
 
 Directory::Directory(const CacheConfig& cfg, int num_banks)
     : array_(cfg.dir_sets, cfg.dir_ways, num_banks),
-      pointers_(cfg.dir_pointers) {}
+      pointers_(cfg.dir_pointers), nodes_(num_banks) {}
 
 bool Directory::needs_pointer_recall(const Line& l, NodeId requestor) const {
   if (l.meta.sharers.test(requestor)) return false;
@@ -61,6 +61,10 @@ bool Directory::load(StateReader& r) {
     if (const char* why = array_.restore(i, valid, tag))
       return r.fail("directory entry " + std::to_string(i) + ": " + why);
     l.meta.owner = static_cast<NodeId>(owner);
+    if (nw > (static_cast<std::uint64_t>(nodes_) + 63) / 64)
+      return r.fail("directory entry " + std::to_string(i) + ": " +
+                    std::to_string(nw) + " sharer words for " +
+                    std::to_string(nodes_) + " nodes");
     std::vector<std::uint64_t> words(nw);
     for (std::uint64_t& x : words)
       if (!r.u64(&x)) return false;

@@ -82,6 +82,7 @@ class Directory {
  private:
   CacheArray<Entry> array_;
   int pointers_;
+  int nodes_;  ///< sharer ids range over [0, nodes_)
 };
 
 }  // namespace rc

@@ -39,13 +39,13 @@ bool L1Cache::access(Addr addr, bool is_write, Cycle now) {
   if (line && (!is_write || line->meta.st == L1State::E ||
                line->meta.st == L1State::M)) {
     if (is_write) line->meta.st = L1State::M;  // silent E->M upgrade
-    ++stats_->counter(is_write ? "l1_write_hit" : "l1_read_hit");
+    ++stats_->at(is_write ? Ctr::l1_write_hit : Ctr::l1_read_hit);
     hit_done_ = now + cfg_.l1_hit_latency;
     wake(hit_done_);
     return true;
   }
   // Miss (or S-state write upgrade).
-  ++stats_->counter(is_write ? "l1_write_miss" : "l1_read_miss");
+  ++stats_->at(is_write ? Ctr::l1_write_miss : Ctr::l1_read_miss);
   mshr_ = Mshr{true, addr, is_write, now};
   auto req = make(is_write ? MsgType::GetX : MsgType::GetS,
                   amap_->home_l2(addr), addr, 1);
@@ -62,9 +62,9 @@ L1Cache::Line* L1Cache::evict_for(Addr addr, Cycle now) {
     const Addr tag = array_.tag_of(*v);
     auto wb = make(MsgType::WbData, amap_->home_l2(tag), tag, 5);
     send_later(std::move(wb), now);
-    ++stats_->counter("l1_writebacks");
+    ++stats_->at(Ctr::l1_writebacks);
   } else {
-    ++stats_->counter("l1_silent_evicts");
+    ++stats_->at(Ctr::l1_silent_evicts);
   }
   array_.invalidate(*v);
   return v;
@@ -128,7 +128,7 @@ void L1Cache::handle(const MsgPtr& msg, Cycle now) {
       break;
     }
     case MsgType::L2WbAck:
-      ++stats_->counter("l1_wb_acked");
+      ++stats_->at(Ctr::l1_wb_acked);
       break;
     default:
       fatal(std::string("L1 received unexpected message ") +

@@ -49,7 +49,7 @@ void L2Bank::handle(const MsgPtr& msg, Cycle now) {
       auto it = txns_.find(addr);
       if (it != txns_.end()) {
         it->second.waiting.push_back(msg);
-        ++stats_->counter("l2_req_blocked");
+        ++stats_->at(Ctr::l2_req_blocked);
       } else {
         process_cpu_req(msg, now);
       }
@@ -75,7 +75,7 @@ void L2Bank::handle(const MsgPtr& msg, Cycle now) {
       // benign (the data is on its way to memory either way).
       send_later(make(MsgType::L2WbAck, msg->src, addr, 1),
                  now + cfg_.l2_hit_latency);
-      ++stats_->counter("l2_wb_received");
+      ++stats_->at(Ctr::l2_wb_received);
       break;
     }
     case MsgType::L1DataAck: {
@@ -146,7 +146,7 @@ void L2Bank::handle(const MsgPtr& msg, Cycle now) {
         if (d->meta.owner != kInvalidNode)
           if (auto* line = array_.find(addr)) line->meta.dirty = true;
         dir_->release(*d);
-        ++stats_->counter("l2_dir_evictions");
+        ++stats_->at(Ctr::l2_dir_evictions);
         auto waiting = std::move(t.waiting);
         txns_.erase(it);
         auto pit = txns_.find(parent);
@@ -166,7 +166,7 @@ void L2Bank::handle(const MsgPtr& msg, Cycle now) {
         if (line->meta.dirty)
           send_later(make(MsgType::MemWb, amap_->mem_ctrl(addr), addr, 5), now);
         array_.invalidate(*line);
-        ++stats_->counter("l2_evictions");
+        ++stats_->at(Ctr::l2_evictions);
         if (proto_ == Protocol::SparseMSI)
           if (auto* d = dir_->find(addr)) dir_->release(*d);
         auto waiting = std::move(t.waiting);
@@ -196,7 +196,7 @@ void L2Bank::handle(const MsgPtr& msg, Cycle now) {
       break;
     }
     case MsgType::MemAck:
-      ++stats_->counter("l2_wb_to_mem_acked");
+      ++stats_->at(Ctr::l2_wb_to_mem_acked);
       break;
     default:
       fatal(std::string("L2 received unexpected message ") +
@@ -215,7 +215,7 @@ void L2Bank::process_cpu_req(const MsgPtr& msg, Cycle now) {
     start_miss(msg, now);
     return;
   }
-  ++stats_->counter("l2_hits");
+  ++stats_->at(Ctr::l2_hits);
   array_.touch(*line, now);
   const NodeId req = msg->src;
   LineMeta& m = line->meta;
@@ -233,7 +233,7 @@ void L2Bank::process_cpu_req(const MsgPtr& msg, Cycle now) {
       m.owner = kInvalidNode;
       m.dirty = true;
       txns_[msg->addr] = Txn{TxnState::WaitInvAcks, msg, 1, 0, {}};
-      ++stats_->counter("l2_recalls");
+      ++stats_->at(Ctr::l2_recalls);
     } else if (m.owner != kInvalidNode) {
       // §4.4 case 1: the owner supplies the data directly; the circuit that
       // the request built toward us will never be used — undo it.
@@ -246,7 +246,7 @@ void L2Bank::process_cpu_req(const MsgPtr& msg, Cycle now) {
       m.sharers.add(req);
       m.owner = kInvalidNode;
       txns_[msg->addr] = Txn{TxnState::WaitDataAck, msg, 0, 0, {}};
-      ++stats_->counter("l2_fwd_gets");
+      ++stats_->at(Ctr::l2_fwd_gets);
     } else {
       bool exclusive = m.sharers.none();
       m.sharers.add(req);
@@ -267,7 +267,7 @@ void L2Bank::process_cpu_req(const MsgPtr& msg, Cycle now) {
     m.sharers.clear();
     m.dirty = true;
     txns_[msg->addr] = Txn{TxnState::WaitInvAcks, msg, ninv, 0, {}};
-    ++stats_->counter("l2_recalls");
+    ++stats_->at(Ctr::l2_recalls);
     return;
   }
   if (m.owner != kInvalidNode) {
@@ -280,14 +280,14 @@ void L2Bank::process_cpu_req(const MsgPtr& msg, Cycle now) {
     m.sharers.clear();
     m.dirty = true;
     txns_[msg->addr] = Txn{TxnState::WaitDataAck, msg, 0, 0, {}};
-    ++stats_->counter("l2_fwd_getx");
+    ++stats_->at(Ctr::l2_fwd_getx);
     return;
   }
   if (m.sharers.any_besides(req)) {
     int n = send_invalidations(*line, req, now);
     m.dirty = true;
     txns_[msg->addr] = Txn{TxnState::WaitInvAcks, msg, n, 0, {}};
-    ++stats_->counter("l2_invalidation_rounds");
+    ++stats_->at(Ctr::l2_invalidation_rounds);
   } else {
     m.sharers.clear();
     m.owner = req;
@@ -304,7 +304,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
     start_miss(msg, now);
     return;
   }
-  ++stats_->counter("l2_hits");
+  ++stats_->at(Ctr::l2_hits);
   array_.touch(*line, now);
   const NodeId req = msg->src;
 
@@ -326,22 +326,22 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
       if (dir_->pointer_limit() < 2) {
         send_later(make(MsgType::Inv, m.owner, msg->addr, 1),
                    now + cfg_.l2_hit_latency);
-        ++stats_->counter("l2_invs_sent");
+        ++stats_->at(Ctr::l2_invs_sent);
         m.sharers.clear();
         m.owner = kInvalidNode;
         line->meta.dirty = true;
         txns_[msg->addr] = Txn{TxnState::WaitInvAcks, msg, 1, 0, {}};
-        ++stats_->counter("l2_recalls");
+        ++stats_->at(Ctr::l2_recalls);
       } else if (!cfg_.direct_l1_transfers) {
         auto rec = make(MsgType::Inv, m.owner, msg->addr, 1);
         rec->downgrade = true;
         send_later(std::move(rec), now + cfg_.l2_hit_latency);
-        ++stats_->counter("l2_invs_sent");
+        ++stats_->at(Ctr::l2_invs_sent);
         m.sharers.assign_only(m.owner);
         m.owner = kInvalidNode;
         line->meta.dirty = true;
         txns_[msg->addr] = Txn{TxnState::WaitInvAcks, msg, 1, 0, {}};
-        ++stats_->counter("l2_recalls");
+        ++stats_->at(Ctr::l2_recalls);
       } else {
         // §4.4 case 1: owner-to-owner forward; the requestor's circuit
         // toward us will never be used — undo it.
@@ -354,7 +354,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
         m.sharers.add(req);
         m.owner = kInvalidNode;
         txns_[msg->addr] = Txn{TxnState::WaitDataAck, msg, 0, 0, {}};
-        ++stats_->counter("l2_fwd_gets");
+        ++stats_->at(Ctr::l2_fwd_gets);
       }
       return;
     }
@@ -367,9 +367,9 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
       m.sharers.remove(victim);
       send_later(make(MsgType::Inv, victim, msg->addr, 1),
                  now + cfg_.l2_hit_latency);
-      ++stats_->counter("l2_invs_sent");
+      ++stats_->at(Ctr::l2_invs_sent);
       txns_[msg->addr] = Txn{TxnState::WaitPtrRoom, msg, 1, 0, {}};
-      ++stats_->counter("l2_ptr_recalls");
+      ++stats_->at(Ctr::l2_ptr_recalls);
       return;
     }
     m.sharers.add(req);
@@ -390,16 +390,16 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
       m.sharers.clear();
       line->meta.dirty = true;
       txns_[msg->addr] = Txn{TxnState::WaitDataAck, msg, 0, 0, {}};
-      ++stats_->counter("l2_fwd_getx");
+      ++stats_->at(Ctr::l2_fwd_getx);
     } else {
       send_later(make(MsgType::Inv, m.owner, msg->addr, 1),
                  now + cfg_.l2_hit_latency);
-      ++stats_->counter("l2_invs_sent");
+      ++stats_->at(Ctr::l2_invs_sent);
       m.owner = kInvalidNode;
       m.sharers.clear();
       line->meta.dirty = true;
       txns_[msg->addr] = Txn{TxnState::WaitInvAcks, msg, 1, 0, {}};
-      ++stats_->counter("l2_recalls");
+      ++stats_->at(Ctr::l2_recalls);
     }
     return;
   }
@@ -407,7 +407,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
     int n = send_dir_invalidations(*d, req, now);
     line->meta.dirty = true;
     txns_[msg->addr] = Txn{TxnState::WaitInvAcks, msg, n, 0, {}};
-    ++stats_->counter("l2_invalidation_rounds");
+    ++stats_->at(Ctr::l2_invalidation_rounds);
   } else {
     m.sharers.clear();
     m.owner = req;
@@ -425,14 +425,14 @@ Directory::Line* L2Bank::dir_ensure(const MsgPtr& msg, Cycle now) {
   if (!victim) {
     retry_.push_back(msg);  // every entry's tag blocked: retry next cycle
     wake(now);
-    ++stats_->counter("l2_dir_stall");
+    ++stats_->at(Ctr::l2_dir_stall);
     return nullptr;
   }
   if (dir_->empty(*victim)) {
     // Stale empty entry (emptied while its tag had a transaction): reclaim
     // silently, no recalls needed.
     dir_->release(*victim);
-    ++stats_->counter("l2_dir_evictions");
+    ++stats_->at(Ctr::l2_dir_evictions);
     auto* d = dir_->find_or_install(msg->addr, now);
     RC_ASSERT(d != nullptr, "released entry not reusable");
     return d;
@@ -443,7 +443,7 @@ Directory::Line* L2Bank::dir_ensure(const MsgPtr& msg, Cycle now) {
   txns_[dir_->tag_of(*victim)] =
       Txn{TxnState::DirEvict, nullptr, n, msg->addr, {}};
   txns_[msg->addr] = Txn{TxnState::WaitEvict, msg, 0, 0, {}};
-  ++stats_->counter("l2_dir_evict_recalls");
+  ++stats_->at(Ctr::l2_dir_evict_recalls);
   return nullptr;
 }
 
@@ -461,7 +461,7 @@ int L2Bank::send_dir_invalidations(const Directory::Line& entry, NodeId except,
                now + cfg_.l2_hit_latency);
     ++n;
   }
-  stats_->counter("l2_invs_sent") += static_cast<std::uint64_t>(n);
+  stats_->at(Ctr::l2_invs_sent) += static_cast<std::uint64_t>(n);
   return n;
 }
 
@@ -478,7 +478,7 @@ int L2Bank::send_invalidations(const Line& line, NodeId except, Cycle now) {
                now + cfg_.l2_hit_latency);
     ++n;
   }
-  stats_->counter("l2_invs_sent") += static_cast<std::uint64_t>(n);
+  stats_->at(Ctr::l2_invs_sent) += static_cast<std::uint64_t>(n);
   return n;
 }
 
@@ -489,7 +489,7 @@ void L2Bank::send_data_reply(const MsgPtr& req, bool exclusive, Cycle now) {
 }
 
 void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
-  ++stats_->counter("l2_misses");
+  ++stats_->at(Ctr::l2_misses);
   if (circ_.undo_on_l2_miss)
     try_undo_circuit(msg, now, /*expect_reply=*/true);
   auto* line = array_.find(msg->addr);
@@ -507,7 +507,7 @@ void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
   if (!victim) {
     retry_.push_back(msg);  // every way busy: retry next cycle
     wake(now);
-    ++stats_->counter("l2_victim_stall");
+    ++stats_->at(Ctr::l2_victim_stall);
     return;
   }
   const Addr vtag = array_.tag_of(*victim);
@@ -536,7 +536,7 @@ void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
     send_later(make(MsgType::MemWb, amap_->mem_ctrl(vtag), vtag, 5),
                now + cfg_.l2_hit_latency);
   array_.invalidate(*victim);
-  ++stats_->counter("l2_evictions");
+  ++stats_->at(Ctr::l2_evictions);
   proceed_miss(msg->addr, msg, now);
 }
 
@@ -572,7 +572,7 @@ void L2Bank::on_reply_injected(const MsgPtr& msg, bool on_circuit, Cycle now) {
   if (it == txns_.end() || it->second.st != TxnState::WaitDataAck) return;
   // §4.6: data on a complete circuit cannot be overtaken — acknowledge now.
   msg->ack_elided = true;
-  ++stats_->counter("replies_eliminated");
+  ++stats_->at(Ctr::replies_eliminated);
   complete_txn(msg->addr, now);
 }
 
@@ -699,8 +699,11 @@ bool L2Bank::load(StateReader& r) {
     l.meta.fetching = (flags & 2) != 0;
     l.meta.owner =
         static_cast<NodeId>(static_cast<std::int64_t>(owner1) - 1);
-    if (nw > array_.size())
-      return r.fail("L2 sharer vector impossibly wide");
+    const int nodes = net_->topo().num_nodes();
+    if (nw > (static_cast<std::uint64_t>(nodes) + 63) / 64)
+      return r.fail("L2 bank " + std::to_string(node_) + ", line " +
+                    std::to_string(idx) + ": " + std::to_string(nw) +
+                    " sharer words for " + std::to_string(nodes) + " nodes");
     std::vector<std::uint64_t> words(nw);
     for (std::uint64_t& x : words)
       if (!r.vu64(&x)) return false;

@@ -85,31 +85,16 @@ void Histogram::merge(const Histogram& o) {
   n_ += o.n_;
 }
 
-std::uint64_t StatSet::counter_value(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-const Accumulator* StatSet::find_acc(const std::string& name) const {
-  auto it = accs_.find(name);
-  return it == accs_.end() ? nullptr : &it->second;
-}
-
-const Histogram* StatSet::find_hist(const std::string& name) const {
-  auto it = hists_.find(name);
-  return it == hists_.end() ? nullptr : &it->second;
-}
-
 void StatSet::reset() {
-  for (auto& [k, v] : counters_) v = 0;
-  for (auto& [k, a] : accs_) a.reset();
-  for (auto& [k, h] : hists_) h.reset();
+  ctrs_.reset();
+  accs_.reset();
+  hists_.reset();
 }
 
 void StatSet::merge(const StatSet& o) {
-  for (const auto& [k, v] : o.counters_) counters_[k] += v;
-  for (const auto& [k, a] : o.accs_) accs_[k].merge(a);
-  for (const auto& [k, h] : o.hists_) hists_[k].merge(h);
+  ctrs_.merge(o.ctrs_);
+  accs_.merge(o.accs_);
+  hists_.merge(o.hists_);
 }
 
 void Accumulator::save(StateWriter& w) const {
@@ -139,40 +124,50 @@ bool Histogram::load(StateReader& r) {
   return true;
 }
 
-void StatSet::save(StateWriter& w) const {
-  w.u64(counters_.size());
-  for (const auto& [k, v] : counters_) {
+namespace {
+void save_value(StateWriter& w, std::uint64_t v) { w.u64(v); }
+template <class T>
+void save_value(StateWriter& w, const T& v) { v.save(w); }
+bool load_value(StateReader& r, std::uint64_t* v) { return r.u64(v); }
+template <class T>
+bool load_value(StateReader& r, T* v) { return v->load(r); }
+
+template <class H, class T, const auto& N>
+void save_slots(StateWriter& w, const StatSlots<H, T, N>& s) {
+  const auto touched = s.list();
+  w.u64(touched.size());
+  for (const auto& [k, v] : touched) {
     w.str(k);
-    w.u64(v);
-  }
-  w.u64(accs_.size());
-  for (const auto& [k, a] : accs_) {
-    w.str(k);
-    a.save(w);
-  }
-  w.u64(hists_.size());
-  for (const auto& [k, h] : hists_) {
-    w.str(k);
-    h.save(w);
+    save_value(w, v);
   }
 }
 
-bool StatSet::load(StateReader& r) {
+template <class H, class T, const auto& N>
+bool load_slots(StateReader& r, StatSlots<H, T, N>* s) {
+  *s = {};
   std::uint64_t n;
   std::string k;
   if (!r.u64(&n)) return false;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (!r.str(&k) || !r.u64(&counters_[k])) return false;
-  }
-  if (!r.u64(&n)) return false;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (!r.str(&k) || !accs_[k].load(r)) return false;
-  }
-  if (!r.u64(&n)) return false;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (!r.str(&k) || !hists_[k].load(r)) return false;
+  for (std::uint64_t j = 0; j < n; ++j) {
+    if (!r.str(&k)) return false;
+    const std::size_t i = s->index(k);
+    if (i == s->kSize) return r.fail("unknown stat '" + k + "'");
+    if (s->find(k)) return r.fail("repeated stat '" + k + "'");
+    if (!load_value(r, &s->at(static_cast<H>(i)))) return false;
   }
   return true;
+}
+}  // namespace
+
+void StatSet::save(StateWriter& w) const {
+  save_slots(w, ctrs_);
+  save_slots(w, accs_);
+  save_slots(w, hists_);
+}
+
+bool StatSet::load(StateReader& r) {
+  return load_slots(r, &ctrs_) && load_slots(r, &accs_) &&
+         load_slots(r, &hists_);
 }
 
 }  // namespace rc

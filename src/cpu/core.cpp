@@ -7,8 +7,8 @@ namespace rc {
 Core::Core(int id, std::unique_ptr<WorkloadGen> gen, L1Cache* l1,
            StatSet* stats)
     : id_(id), gen_(std::move(gen)), l1_(l1), stats_(stats) {
-  stall_cycles_ = &stats_->counter("core_stall_cycles");
-  mem_ops_ = &stats_->counter("core_mem_ops");
+  stats_->at(Ctr::core_stall_cycles);  // both reported even while zero
+  stats_->at(Ctr::core_mem_ops);
   l1_->set_complete([this](Cycle now) { on_complete(now); });
   next_op_ = gen_->next();
   gap_left_ = next_op_.gap;
@@ -19,7 +19,7 @@ void Core::flush_stalls(Cycle now) {
   // cover (stall_from_, now]; advancing stall_from_ makes the flush
   // idempotent across run_cycles block boundaries.
   if (waiting_ && now > stall_from_) {
-    *stall_cycles_ += now - stall_from_;
+    stats_->at(Ctr::core_stall_cycles) += now - stall_from_;
     stall_from_ = now;
   }
 }
@@ -43,7 +43,7 @@ void Core::tick(Cycle now) {
   if (l1_->access(next_op_.addr, next_op_.is_write, now)) {
     waiting_ = true;
     stall_from_ = now;
-    ++*mem_ops_;
+    ++stats_->at(Ctr::core_mem_ops);
   }
 }
 

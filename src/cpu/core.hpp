@@ -44,8 +44,6 @@ class Core : public Ticker {
   std::unique_ptr<WorkloadGen> gen_;
   L1Cache* l1_;
   StatSet* stats_;
-  std::uint64_t* stall_cycles_ = nullptr;
-  std::uint64_t* mem_ops_ = nullptr;
 
   MemOp next_op_;
   int gap_left_ = 0;

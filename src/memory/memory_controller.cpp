@@ -22,12 +22,12 @@ void MemoryController::handle(const MsgPtr& msg, Cycle now) {
     case MsgType::MemRead:
       reply->type = MsgType::MemData;
       reply->size_flits = 5;
-      ++stats_->counter("mem_reads");
+      ++stats_->at(Ctr::mem_reads);
       break;
     case MsgType::MemWb:
       reply->type = MsgType::MemAck;
       reply->size_flits = 1;
-      ++stats_->counter("mem_writebacks");
+      ++stats_->at(Ctr::mem_writebacks);
       break;
     default:
       fatal(std::string("MC received unexpected message ") +

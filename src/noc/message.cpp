@@ -108,19 +108,6 @@ const char* to_string(ReplyCategory c) {
   return "?";
 }
 
-const char* reply_counter_name(ReplyCategory c) {
-  switch (c) {
-    case ReplyCategory::Used: return "reply_used";
-    case ReplyCategory::Partial: return "reply_partial";
-    case ReplyCategory::Failed: return "reply_failed";
-    case ReplyCategory::Undone: return "reply_undone";
-    case ReplyCategory::Scrounged: return "reply_scrounged";
-    case ReplyCategory::NotEligible: return "reply_not_eligible";
-    case ReplyCategory::EligibleNoCirc: return "reply_eligible_nocirc";
-    default: return nullptr;
-  }
-}
-
 ReplyCategory classify_reply_category(const Message& m,
                                       const CircuitConfig& cfg) {
   if (!m.is_reply()) return ReplyCategory::NotReply;

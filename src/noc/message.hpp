@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 
+#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace rc {
@@ -37,6 +38,12 @@ enum class MsgType : std::uint8_t {
 inline constexpr int kNumMsgTypes = static_cast<int>(MsgType::L1ToL1) + 1;
 
 const char* to_string(MsgType t);
+
+/// Counter of delivered messages of type `t` ("msg_GetS", ...).
+constexpr Ctr msg_stat(MsgType t) {
+  return static_cast<Ctr>(static_cast<int>(Ctr::msg_GetS) +
+                          static_cast<int>(t));
+}
 
 /// Virtual network a message class travels on.
 VNet vnet_of(MsgType t);
@@ -91,9 +98,15 @@ inline constexpr int kNumReplyCategories = 9;
 
 const char* to_string(ReplyCategory c);
 
-/// Aggregate counter the NI bumps for this category ("reply_used", ...), or
-/// nullptr for the categories that have none (NotReply, ScroungeHop).
-const char* reply_counter_name(ReplyCategory c);
+/// True for the categories the NI counts (all but NotReply, ScroungeHop).
+constexpr bool reply_counted(ReplyCategory c) {
+  return c != ReplyCategory::NotReply && c != ReplyCategory::ScroungeHop;
+}
+/// Counter of a counted category ("reply_used", ...).
+constexpr Ctr reply_stat(ReplyCategory c) {
+  const int i = static_cast<int>(c) - static_cast<int>(ReplyCategory::Used);
+  return static_cast<Ctr>(static_cast<int>(Ctr::reply_used) + i);
+}
 
 /// Classify a delivered message into its Fig. 6 category. Mirrors the
 /// decision order the paper's accounting implies: scrounged beats the undone

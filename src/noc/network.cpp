@@ -16,9 +16,6 @@ Network::Network(const NocConfig& cfg)
   const int n = topo_.num_nodes();
   // Sized once, before any component captures a pointer; never resized.
   node_stats_.resize(static_cast<std::size_t>(n));
-  msg_local_.reserve(static_cast<std::size_t>(n));
-  for (NodeId i = 0; i < n; ++i)
-    msg_local_.emplace_back(&node_stats_[i], "msg_local");
   routers_.reserve(n);
   nis_.reserve(n);
   drains_.resize(static_cast<std::size_t>(n));  // before wakers capture them
@@ -107,7 +104,7 @@ void Network::send(const MsgPtr& msg, Cycle now) {
   RC_ASSERT(msg->dest >= 0 && msg->dest < topo_.num_nodes(), "bad dest");
   if (msg->src == msg->dest) {
     msg->created = msg->injected = now;
-    ++msg_local_[msg->src];
+    ++node_stats_[msg->src].at(Ctr::msg_local);
     local_pipes_[msg->src].push(msg, now);
     return;
   }
@@ -238,7 +235,6 @@ StatSet Network::merged_stats() const {
 }
 
 void Network::reset_stats() {
-  // In-place zeroing keeps the routers' cached hot-counter pointers valid.
   for (auto& s : node_stats_) s.reset();
 }
 

@@ -97,7 +97,7 @@ class Network {
   MessagePool& pool() { return pool_; }
 
   /// All node statistics merged in fixed node order (bit-identical for any
-  /// shard count). This walks every node's maps — cache the result, don't
+  /// shard count). This walks every node's slots — cache the result, don't
   /// call it per cycle.
   StatSet merged_stats() const;
   /// One node's statistics (routers, NI and fabric counters of that tile).
@@ -135,7 +135,6 @@ class Network {
   NocConfig cfg_;
   Topology topo_;
   std::vector<StatSet> node_stats_;  ///< sized before components; stable
-  std::vector<LazyCounter> msg_local_;  ///< per-node "msg_local" cache
   LatencyModel lat_;
   TickMode mode_;
   MessagePool pool_;

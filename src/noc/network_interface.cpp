@@ -1,7 +1,6 @@
 #include "noc/network_interface.hpp"
 
 #include <bit>
-#include <string>
 
 #include "common/state.hpp"
 #include "noc/message_pool.hpp"
@@ -16,11 +15,7 @@ NetworkInterface::NetworkInterface(NodeId id, const NocConfig& cfg,
                                    MessagePool* pool)
     : id_(id), cfg_(cfg), topo_(topo), stats_(stats), pool_(pool), lat_(cfg_) {
   RC_ASSERT(pool_ != nullptr, "NI needs a message pool");
-  inject_flits_ = &stats_->counter("ni_inject_flit");
-  origin_used_ = LazyCounter(stats_, "circ_origin_used");
-  origin_undone_ = LazyCounter(stats_, "circ_origin_undone");
-  origin_duplicate_ = LazyCounter(stats_, "circ_origin_duplicate");
-  scrounge_rides_ = LazyCounter(stats_, "scrounge_rides");
+  stats_->at(Ctr::ni_inject_flit);  // reported even while zero
 }
 
 void NetworkInterface::wire(Pipe<Flit>* inject, Pipe<Credit>* inject_credits,
@@ -47,7 +42,7 @@ void NetworkInterface::send(const MsgPtr& msg, Cycle now) {
 
 void NetworkInterface::launch_undo(NodeId dest, Addr addr,
                                    std::uint64_t owner, Cycle now) {
-  ++origin_undone_;
+  ++stats_->at(Ctr::circ_origin_undone);
   if (!undo_out_) return;
   Credit cr;
   cr.vnet = VNet::Reply;
@@ -391,7 +386,7 @@ NetworkInterface::Probe NetworkInterface::probe_reply(const MsgPtr& msg,
       msg->circuit_addr = best_key->second;
       msg->outcome = CircuitOutcome::Scrounged;
       *on_circuit = true;
-      ++scrounge_rides_;
+      ++stats_->at(Ctr::scrounge_rides);
       return Probe::Ok;
     }
   }
@@ -434,22 +429,20 @@ void NetworkInterface::inject_flit(Stream& s, Cycle now) {
     pool_->pin(msg);  // flits carry raw pointers; the pool owns until tail eject
     msg->injected = now;
     if (obs_) obs_->on_message_injected(id_, *msg, now);
-    const int rep = msg->is_reply() ? 1 : 0;
-    if (!q_lat_[rep])
-      q_lat_[rep] = &stats_->acc(rep ? "q_lat_reply" : "q_lat_req");
-    q_lat_[rep]->add(static_cast<double>(now - msg->created));
+    stats_->at(msg->is_reply() ? Acc::q_lat_reply : Acc::q_lat_req)
+        .add(static_cast<double>(now - msg->created));
     if (msg->is_reply()) {
       if (s.on_circuit && !msg->scrounging) {
         auto uit = origins_.find({msg->dest, msg->addr});
         if (uit != origins_.end()) erase_origin(uit);
-        ++origin_used_;
+        ++stats_->at(Ctr::circ_origin_used);
       }
       if (reply_injected_) reply_injected_(msg, s.on_circuit);
     }
   }
   RC_ASSERT(inject_ != nullptr, "NI not wired");
   inject_->push(f, now);
-  ++*inject_flits_;
+  ++stats_->at(Ctr::ni_inject_flit);
   if (f.is_tail()) {
     if (msg->scrounging) {
       auto it = origins_.find({msg->circuit_dest, msg->circuit_addr});
@@ -510,14 +503,14 @@ void NetworkInterface::handle_request_delivered(const MsgPtr& msg, Cycle now) {
     } else {
       launch_undo(msg->src, msg->addr, msg->id, now);
     }
-    ++origin_duplicate_;
+    ++stats_->at(Ctr::circ_origin_duplicate);
     return;
   }
   o.req_id = msg->id;
   origins_.insert_or_assign(key, std::move(o));
   touch_origin(key.first, key.second);
   if (msg->circuit_ok) {
-    stats_->acc("lat_circuit_setup")
+    stats_->at(Acc::lat_circuit_setup)
         .add(static_cast<double>(now - msg->injected));
   }
 }
@@ -542,46 +535,25 @@ void NetworkInterface::finish_delivery(const MsgPtr& msg, Cycle now) {
 }
 
 void NetworkInterface::classify_delivered(const MsgPtr& msg) {
-  // Per-delivery stat lookups go through lazily filled pointer caches: a
-  // key is still created in the StatSet on its first occurrence (so the
-  // reported key set is unchanged), but the steady-state path is a pointer
-  // chase instead of a string-keyed map walk per message.
-  const int ti = static_cast<int>(msg->type);
-  if (!msg_counter_[ti])
-    msg_counter_[ti] =
-        &stats_->counter(std::string("msg_") + to_string(msg->type));
-  ++*msg_counter_[ti];
+  ++stats_->at(msg_stat(msg->type));
   const double net_lat = static_cast<double>(msg->delivered - msg->injected);
   const double q_lat = static_cast<double>(msg->injected - msg->created);
   if (!msg->is_reply()) {
-    if (!del_req_.lat_net) {
-      del_req_.lat_net = &stats_->acc("lat_net_req");
-      del_req_.lat_q = &stats_->acc("lat_q_req");
-      del_req_.hist = &stats_->hist("hist_req");
-    }
-    del_req_.lat_net->add(net_lat);
-    del_req_.lat_q->add(q_lat);
-    del_req_.hist->add(net_lat);
+    stats_->at(Acc::lat_net_req).add(net_lat);
+    stats_->at(Acc::lat_q_req).add(q_lat);
+    stats_->at(Hist::hist_req).add(net_lat);
     return;
   }
   const bool eligible = reply_circuit_eligible(msg->type);
-  DeliveredStats& d = del_rep_[eligible ? 1 : 0];
-  if (!d.lat_net) {
-    d.lat_net = &stats_->acc(eligible ? "lat_net_rep_circ" : "lat_net_rep_nocirc");
-    d.lat_q = &stats_->acc(eligible ? "lat_q_rep_circ" : "lat_q_rep_nocirc");
-    d.hist = &stats_->hist(eligible ? "hist_rep_circ" : "hist_rep_nocirc");
-  }
-  d.lat_net->add(net_lat);
-  d.lat_q->add(q_lat);
-  d.hist->add(net_lat);
+  stats_->at(eligible ? Acc::lat_net_rep_circ : Acc::lat_net_rep_nocirc)
+      .add(net_lat);
+  stats_->at(eligible ? Acc::lat_q_rep_circ : Acc::lat_q_rep_nocirc).add(q_lat);
+  stats_->at(eligible ? Hist::hist_rep_circ : Hist::hist_rep_nocirc)
+      .add(net_lat);
 
   // Fig. 6 categories (classifier shared with the telemetry trace).
   const ReplyCategory cat = classify_reply_category(*msg, cfg_.circuit);
-  if (const char* c = reply_counter_name(cat)) {
-    const int ci = static_cast<int>(cat);
-    if (!reply_counter_[ci]) reply_counter_[ci] = &stats_->counter(c);
-    ++*reply_counter_[ci];
-  }
+  if (reply_counted(cat)) ++stats_->at(reply_stat(cat));
 }
 
 void NetworkInterface::save(StateWriter& w) const {

@@ -89,7 +89,6 @@ class NetworkInterface : public Ticker {
     return req_q_.size() + rep_count_ + (stream_[0].active() ? 1 : 0) +
            (stream_[1].active() ? 1 : 0);
   }
-  StatSet& stats() { return *stats_; }
 
   /// Snapshot save/load: injection queues (in arrival order), streams,
   /// outstanding-flit counters and the origin table. Where each queued
@@ -234,28 +233,6 @@ class NetworkInterface : public Ticker {
   /// a VC accepts a new packet only when it has fully drained.
   std::array<int, kNumVNets * kMaxVcsPerVn> outstanding_{};
   int out_idx(int vn, int vc) const { return vn * kMaxVcsPerVn + vc; }
-  std::uint64_t* inject_flits_ = nullptr;
-
-  // Lazily cached pointers into the string-keyed StatSet for the
-  // per-message hot paths (injection latency accumulators, delivery
-  // classification). Each cache slot is filled on a stat's first use, so
-  // the set of keys ever created — and with it the reported stats — is
-  // byte-identical to the uncached lookups it replaces.
-  struct DeliveredStats {
-    Accumulator* lat_net = nullptr;
-    Accumulator* lat_q = nullptr;
-    Histogram* hist = nullptr;
-  };
-  Accumulator* q_lat_[2] = {nullptr, nullptr};  ///< [is_reply]
-  std::uint64_t* msg_counter_[kNumMsgTypes] = {};
-  DeliveredStats del_req_;        ///< requests
-  DeliveredStats del_rep_[2];     ///< replies, [circuit-eligible]
-  std::uint64_t* reply_counter_[kNumReplyCategories] = {};
-  // Origin-table lifecycle counters fire once per circuit origin event.
-  LazyCounter origin_used_;
-  LazyCounter origin_undone_;
-  LazyCounter origin_duplicate_;
-  LazyCounter scrounge_rides_;
 
   std::map<OriginKey, Origin> origins_;
 };

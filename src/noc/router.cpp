@@ -34,17 +34,10 @@ Router::Router(NodeId id, const NocConfig& cfg, const Topology* topo,
     : id_(id), cfg_(cfg), topo_(topo), stats_(stats), lat_(cfg_),
       circuits_(cfg.circuit, stats) {
   RC_ASSERT(topo_ != nullptr, "router needs a topology");
-  hot_.buf_write = &stats_->counter("buf_write");
-  hot_.buf_read = &stats_->counter("buf_read");
-  hot_.xbar = &stats_->counter("xbar");
-  hot_.link_flit = &stats_->counter("link_flit");
-  hot_.va_ops = &stats_->counter("va_ops");
-  hot_.sa_ops = &stats_->counter("sa_ops");
-  hot_.circ_check = &stats_->counter("circ_check");
-  hot_.circ_fwd = &stats_->counter("circ_fwd");
-  hot_.circ_skid_block = LazyCounter(stats_, "circ_skid_block");
-  hot_.circ_fail_conflict = LazyCounter(stats_, "circ_fail_conflict");
-  hot_.circ_build_aborted = LazyCounter(stats_, "circ_build_aborted");
+  // The datapath counters are reported even while zero.
+  for (Ctr c : {Ctr::buf_write, Ctr::buf_read, Ctr::xbar, Ctr::link_flit,
+                Ctr::va_ops, Ctr::sa_ops, Ctr::circ_check, Ctr::circ_fwd})
+    stats_->at(c);
   const int nvcs = total_vcs();
   RC_ASSERT(kNumDirs * nvcs <= 64, "VA request masks hold 64 bits");
   vc_stage_ready_.assign(static_cast<std::size_t>(kNumDirs * nvcs), 0);
@@ -176,7 +169,7 @@ Router::CircFwd Router::try_circuit_forward(Flit& flit, Port in_port,
   const bool buffered = !cfg_.circuit.bufferless_circuit_vc();
   const bool fragmented = cfg_.circuit.mode == CircuitMode::Fragmented;
   if (circ_taken_ & (std::uint32_t{1} << out)) {
-    if (!buffered) ++hot_.circ_skid_block;
+    if (!buffered) ++stats_->at(Ctr::circ_skid_block);
     if (obs_) obs_->on_circuit_blocked(id_, in_port, flit, now);
     return CircFwd::Blocked;
   }
@@ -205,7 +198,7 @@ Router::CircFwd Router::try_circuit_forward(Flit& flit, Port in_port,
   }
   flit.vc = fwd_vc;
   send_flit(out, flit, now);
-  ++*hot_.circ_fwd;
+  ++stats_->at(Ctr::circ_fwd);
   if (obs_) obs_->on_circuit_forwarded(id_, in_port, flit, now);
   // The flit never occupied our buffer: hand the slot straight back.
   if (buffered) send_credit(in_port, VNet::Reply, arrival_vc, now);
@@ -223,7 +216,7 @@ void Router::process_arrivals(Cycle now) {
     // Blocked circuit flits (Fragmented/Ideal) retry with priority, in order.
     while (!ip.circ_retry.empty()) {
       Flit f = ip.circ_retry.front();
-      ++*hot_.circ_check;
+      ++stats_->at(Ctr::circ_check);
       CircFwd r = try_circuit_forward(f, static_cast<Port>(p), now);
       if (r == CircFwd::Blocked) break;  // keep per-packet flit order
       ip.circ_retry.pop_front();
@@ -239,7 +232,7 @@ void Router::process_arrivals(Cycle now) {
     while (auto f = wires_[p].in_data->pop_ready(now)) {
       Flit flit = *f;
       if (flit.on_circuit) {
-        ++*hot_.circ_check;
+        ++stats_->at(Ctr::circ_check);
         if (!ip.circ_retry.empty()) {
           // Blocked circuit flits ahead of us. Queue behind them only when
           // this flit can interact with the circuit machinery here: an
@@ -319,7 +312,7 @@ void Router::buffer_flit(const Flit& flit, Port p, Cycle now) {
   ivc.buf.push_back(flit);
   occ_mask_[p] |= std::uint64_t{1} << idx;
   ++n_buffered_;
-  ++*hot_.buf_write;
+  ++stats_->at(Ctr::buf_write);
   if (obs_) obs_->on_flit_buffered(id_, p, flit, now);
   if (ivc.state == VCState::Idle) try_start_packet(p, idx, now);
 }
@@ -405,8 +398,8 @@ void Router::stage_sa(Cycle now) {
     --n_buffered_;
     if (ivc.buf.empty())
       occ_mask_[win] &= ~(std::uint64_t{1} << vc_idx);
-    ++*hot_.buf_read;
-    ++*hot_.sa_ops;
+    ++stats_->at(Ctr::buf_read);
+    ++stats_->at(Ctr::sa_ops);
     send_credit(static_cast<Port>(win), f.vnet, vcidx_within_[vc_idx], now);
     f.vc = vc_out_vc_[fv];
     auto& op = outputs_[o];
@@ -482,7 +475,7 @@ void Router::stage_va(Cycle now) {
       // between VC allocation and switch allocation.
       vc_stage_ready_[win] = now + 1 + (cfg_.router_stages - 4);
       op.set_busy(ov);
-      ++*hot_.va_ops;
+      ++stats_->at(Ctr::va_ops);
       Message* msg = ivc.buf.front().msg;
       if (ivc.buf.front().vnet == VNet::Request && msg->build_circuit &&
           circuits_.enabled()) {
@@ -567,7 +560,7 @@ void Router::maybe_build_circuit(Message* msg, Port req_in, Port req_out,
       return;
     }
   } else {
-    ++hot_.circ_fail_conflict;
+    ++stats_->at(Ctr::circ_fail_conflict);
   }
 
   if (cfg_.circuit.mode == CircuitMode::Fragmented) {
@@ -577,7 +570,7 @@ void Router::maybe_build_circuit(Message* msg, Port req_in, Port req_out,
   RC_ASSERT(cfg_.circuit.mode != CircuitMode::Ideal,
             "ideal reservation can never fail");
   msg->circuit_ok = false;
-  ++hot_.circ_build_aborted;
+  ++stats_->at(Ctr::circ_build_aborted);
   // Tear down the part already built, via the upstream credit wires (§4.4).
   if (req_in != port_of(Dir::Local) && wires_[req_in].in_credits) {
     Credit cr;
@@ -592,8 +585,8 @@ void Router::send_flit(Port out, const Flit& flit, Cycle now) {
   RC_DASSERT(wires_[out].out_data != nullptr, "flit routed to unwired port");
   wires_[out].out_data->push(flit, now);
   ++flits_routed_;
-  ++*hot_.xbar;
-  if (out != port_of(Dir::Local)) ++*hot_.link_flit;
+  ++stats_->at(Ctr::xbar);
+  if (out != port_of(Dir::Local)) ++stats_->at(Ctr::link_flit);
 }
 
 void Router::send_credit(Port in_port, VNet vn, int vc, Cycle now) {

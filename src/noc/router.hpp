@@ -71,7 +71,6 @@ class Router : public Ticker {
   }
   CircuitManager& circuits() { return circuits_; }
   const CircuitManager& circuits() const { return circuits_; }
-  StatSet& stats() { return *stats_; }
 
   /// Flits resident in this router's input-side storage (VC buffers plus the
   /// circuit retry queues) — the telemetry sampler's VC-occupancy scan. Only
@@ -240,22 +239,6 @@ class Router : public Ticker {
   std::array<int, 64> vcidx_within_{};
   std::uint64_t va_allocatable_mask_ = 0;
   std::uint64_t flits_routed_ = 0;
-  // Cached hot-path statistic counters (StatSet lookups are string-keyed).
-  struct HotCounters {
-    std::uint64_t* buf_write = nullptr;
-    std::uint64_t* buf_read = nullptr;
-    std::uint64_t* xbar = nullptr;
-    std::uint64_t* link_flit = nullptr;
-    std::uint64_t* va_ops = nullptr;
-    std::uint64_t* sa_ops = nullptr;
-    std::uint64_t* circ_check = nullptr;
-    std::uint64_t* circ_fwd = nullptr;
-    // Rare-event counters resolve lazily so they appear in reports only
-    // once they actually fire (byte-identical stats to uncached bumps).
-    LazyCounter circ_skid_block;
-    LazyCounter circ_fail_conflict;
-    LazyCounter circ_build_aborted;
-  } hot_;
   NocConfig cfg_;
   const Topology* topo_;
   StatSet* stats_;

@@ -160,8 +160,7 @@ void print_telemetry_summary(const TraceSummary& s, const std::string& title) {
     Table cat({"reply category", "count", "fraction"});
     for (int c = 0; c < kNumReplyCategories; ++c) {
       const auto cc = static_cast<ReplyCategory>(c);
-      if (cc == ReplyCategory::NotReply || cc == ReplyCategory::ScroungeHop)
-        continue;
+      if (!reply_counted(cc)) continue;
       cat.add_row({to_string(cc), std::to_string(s.cat_counts[c]),
                    Table::pct(s.cat_fraction(cc))});
     }

@@ -55,7 +55,7 @@ class System {
   /// clamped at construction; 1 = serial tick loop).
   int shards() const { return shards_; }
   /// Controller statistics of every node merged in fixed node order
-  /// (bit-identical for any shard count). Walks every node's maps — cache
+  /// (bit-identical for any shard count). Walks every node's slots — cache
   /// the result rather than calling per cycle.
   StatSet merged_sys_stats() const;
   /// One node's controller statistics (core, L1, L2 bank, MC of that tile).

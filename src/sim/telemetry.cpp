@@ -434,12 +434,8 @@ bool load_trace(const std::string& path, std::vector<TelemetryEvent>* events,
 
 std::uint64_t TraceSummary::classified_replies() const {
   std::uint64_t total = 0;
-  for (int c = 0; c < kNumReplyCategories; ++c) {
-    const auto cc = static_cast<ReplyCategory>(c);
-    if (cc == ReplyCategory::NotReply || cc == ReplyCategory::ScroungeHop)
-      continue;
-    total += cat_counts[c];
-  }
+  for (int c = 0; c < kNumReplyCategories; ++c)
+    if (reply_counted(static_cast<ReplyCategory>(c))) total += cat_counts[c];
   return total;
 }
 

@@ -315,7 +315,8 @@ TEST(CacheArrayTest, HashedIndexSpreadsAlignedRegions) {
 // ------------------------------------------------------- snapshot loaders
 // Each loader gets a section built with StateWriter holding two valid lines
 // in set 1. It must accept the clean section, and refuse one with a defect
-// planted in the second line, naming the cache and the way index.
+// planted in the second line, naming the cache and the way index. A sharer
+// vector may hold ceil(nodes / 64) words: 1 for these 16 nodes.
 
 /// The first `n` nonzero line addresses that a sets x ways / stride array
 /// maps to `set`.
@@ -327,7 +328,7 @@ std::vector<Addr> tags_in_set(int sets, int ways, int stride, int set, int n) {
   return out;
 }
 
-enum class Defect { None, Unaligned, WrongSet, Repeat };
+enum class Defect { None, Unaligned, WrongSet, Repeat, WideSharers };
 
 struct LoaderCase {
   Defect defect;
@@ -338,6 +339,7 @@ const LoaderCase kDefects[] = {
     {Defect::Unaligned, "tag is not line-aligned"},
     {Defect::WrongSet, "tag belongs to another set"},
     {Defect::Repeat, "tag repeats a valid tag in its set"},
+    {Defect::WideSharers, "2 sharer words for 16 nodes"},
 };
 
 /// Valid tags for ways 0 and 1 of set 1 (flat indices ways, ways+1), with
@@ -346,6 +348,7 @@ std::pair<Addr, Addr> planted_tags(Defect d, int sets, int ways, int stride) {
   const auto t = tags_in_set(sets, ways, stride, 1, 2);
   switch (d) {
     case Defect::None:
+    case Defect::WideSharers:
       return {t[0], t[1]};
     case Defect::Unaligned:
       return {t[0], t[1] + 4};
@@ -367,6 +370,7 @@ TEST(CacheArrayLoadTest, L1RejectsTagsThePackedIndexCannotHold) {
   const SystemConfig cfg = small_config();
   const int sets = cfg.cache.l1_sets, ways = cfg.cache.l1_ways;
   for (const LoaderCase& c : kDefects) {
+    if (c.defect == Defect::WideSharers) continue;  // an L1 keeps no sharers
     const auto [t0, t1] = planted_tags(c.defect, sets, ways, 1);
     StateWriter w;
     const std::size_t n = static_cast<std::size_t>(sets) * ways;
@@ -406,7 +410,7 @@ TEST(CacheArrayLoadTest, L2RejectsTagsThePackedIndexCannotHold) {
   const int sets = cfg.cache.l2_sets, ways = cfg.cache.l2_ways;
   const int banks = cfg.noc.num_nodes();
   // The L2 record stores tag / kLineBytes, so it cannot carry an unaligned
-  // tag; the set and repeat checks apply.
+  // tag; the set, repeat and sharer-width checks apply.
   for (const LoaderCase& c : kDefects) {
     if (c.defect == Defect::Unaligned) continue;
     const auto [t0, t1] = planted_tags(c.defect, sets, ways, banks);
@@ -419,7 +423,9 @@ TEST(CacheArrayLoadTest, L2RejectsTagsThePackedIndexCannotHold) {
       w.vu64(0);  // last_used
       w.u8(0);    // flags
       w.vu64(0);  // owner + 1
-      w.vu64(0);  // sharer words
+      const int nw = k == 1 && c.defect == Defect::WideSharers ? 2 : 1;
+      w.vu64(nw);  // sharer words, naming node 3
+      for (int j = 0; j < nw; ++j) w.vu64(1u << 3);
     }
     w.b(false);  // no sparse directory
     w.u64(0);    // message counter, transactions, retries, outbox
@@ -456,13 +462,18 @@ TEST(CacheArrayLoadTest, DirectoryRejectsTagsThePackedIndexCannotHold) {
       w.u64(!planted ? 0 : i == static_cast<std::size_t>(ways) ? t0 : t1);
       w.u64(0);
       w.i64(kInvalidNode);
-      w.u64(0);
+      const bool wide = i == static_cast<std::size_t>(ways) + 1 &&
+                        c.defect == Defect::WideSharers;
+      const int nw = !planted ? 0 : wide ? 2 : 1;
+      w.u64(nw);  // sharer words, naming node 3
+      for (int j = 0; j < nw; ++j) w.u64(1u << 3);
     }
     Directory dir(cfg, banks);
     StateReader r(w.data());
     if (!c.why) {
       EXPECT_TRUE(dir.load(r)) << r.error();
-      EXPECT_NE(dir.find(t1), nullptr);
+      ASSERT_NE(dir.find(t1), nullptr);
+      EXPECT_TRUE(dir.find(t1)->meta.sharers.test(3));
       continue;
     }
     EXPECT_FALSE(dir.load(r)) << c.why;

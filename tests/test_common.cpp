@@ -1,10 +1,18 @@
 // Unit tests for the common module: pipes, RNG, stats, config helpers.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "common/config.hpp"
 #include "common/pipe.hpp"
 #include "common/rng.hpp"
+#include "common/state.hpp"
 #include "common/stats.hpp"
+#include "noc/message.hpp"
 
 namespace rc {
 namespace {
@@ -181,23 +189,159 @@ TEST(Histogram, PercentileTopFractionIsTopOccupiedBucket) {
 
 TEST(StatSet, CountersAndReset) {
   StatSet s;
-  s.counter("x") += 5;
-  EXPECT_EQ(s.counter_value("x"), 5u);
-  EXPECT_EQ(s.counter_value("missing"), 0u);
+  s.at(Ctr::l2_hits) += 5;
+  EXPECT_EQ(s.counter_value("l2_hits"), 5u);
+  EXPECT_EQ(s.counter_value("l2_misses"), 0u);  // registered, never written
   s.reset();
-  EXPECT_EQ(s.counter_value("x"), 0u);
+  EXPECT_EQ(s.counter_value("l2_hits"), 0u);
+}
+
+TEST(StatSet, UnregisteredNameIsAProgrammingError) {
+  StatSet s;
+  EXPECT_THROW(s.counter_value("missing"), FatalError);
+  EXPECT_THROW(s.find_acc("missing"), FatalError);
+  EXPECT_THROW(s.find_hist("missing"), FatalError);
 }
 
 TEST(StatSet, Merge) {
   StatSet a, b;
-  a.counter("x") = 1;
-  b.counter("x") = 2;
-  b.counter("y") = 3;
-  b.acc("l").add(4.0);
+  a.at(Ctr::l2_hits) = 1;
+  b.at(Ctr::l2_hits) = 2;
+  b.at(Ctr::l2_misses) = 3;
+  b.at(Acc::lat_net_req).add(4.0);
   a.merge(b);
-  EXPECT_EQ(a.counter_value("x"), 3u);
-  EXPECT_EQ(a.counter_value("y"), 3u);
-  EXPECT_EQ(a.acc("l").count(), 1u);
+  EXPECT_EQ(a.counter_value("l2_hits"), 3u);
+  EXPECT_EQ(a.counter_value("l2_misses"), 3u);
+  ASSERT_NE(a.find_acc("lat_net_req"), nullptr);
+  EXPECT_EQ(a.find_acc("lat_net_req")->count(), 1u);
+}
+
+TEST(StatRegistry, NamesAreUnique) {
+  auto unique = [](const auto& names) {
+    return std::set<std::string_view>(std::begin(names), std::end(names))
+               .size() == std::size(names);
+  };
+  EXPECT_TRUE(unique(kCtrNames));
+  EXPECT_TRUE(unique(kAccNames));
+  EXPECT_TRUE(unique(kHistNames));
+}
+
+TEST(StatRegistry, MessageAndReplyRangesFollowTheirEnums) {
+  for (int t = 0; t < kNumMsgTypes; ++t) {
+    const auto mt = static_cast<MsgType>(t);
+    EXPECT_EQ(stat_name(msg_stat(mt)), std::string("msg_") + to_string(mt));
+  }
+  int counted = 0;
+  for (int c = 0; c < kNumReplyCategories; ++c) {
+    const auto rc = static_cast<ReplyCategory>(c);
+    if (!reply_counted(rc)) continue;
+    ++counted;
+    EXPECT_EQ(stat_name(reply_stat(rc)), std::string("reply_") + to_string(rc));
+  }
+  EXPECT_EQ(counted, 7);
+  // The circuit manager indexes circ_reserve_1st.. by table occupancy.
+  const int first = static_cast<int>(Ctr::circ_reserve_1st);
+  EXPECT_EQ(stat_name(static_cast<Ctr>(first + 5)), "circ_reserve_6plus");
+}
+
+std::vector<std::string> counter_names(const StatSet& s) {
+  std::vector<std::string> out;
+  for (const auto& [k, v] : s.counters()) out.push_back(k);
+  return out;
+}
+
+StatSet reloaded(const StatSet& s) {
+  StateWriter w;
+  s.save(w);
+  StatSet out;
+  StateReader r(w.data());
+  EXPECT_TRUE(out.load(r)) << r.error();
+  return out;
+}
+
+TEST(StatSet, SlotTouchedAtZeroSurvivesResetMergeAndSnapshot) {
+  StatSet s;
+  s.at(Ctr::buf_write);  // touched, still zero
+  s.at(Acc::lat_net_req);
+  const std::vector<std::string> want{"buf_write"};
+  EXPECT_EQ(counter_names(s), want);
+  s.reset();
+  EXPECT_EQ(counter_names(s), want);
+  StatSet merged;
+  merged.merge(s);
+  EXPECT_EQ(counter_names(merged), want);
+  const StatSet back = reloaded(s);
+  EXPECT_EQ(counter_names(back), want);
+  const StatSet* sets[] = {&s, &merged, &back};
+  for (const StatSet* x : sets) {
+    ASSERT_NE(x->find_acc("lat_net_req"), nullptr);
+    EXPECT_EQ(x->find_acc("lat_net_req")->count(), 0u);
+  }
+}
+
+TEST(StatSet, UntouchedSlotIsAbsent) {
+  StatSet s;
+  EXPECT_TRUE(s.counters().empty());
+  EXPECT_TRUE(s.accumulators().empty());
+  EXPECT_TRUE(s.histograms().empty());
+  EXPECT_EQ(s.find_acc("lat_net_req"), nullptr);
+  EXPECT_EQ(s.find_hist("hist_req"), nullptr);
+  s.at(Acc::lat_q_req).add(1.0);
+  EXPECT_EQ(s.find_acc("lat_net_req"), nullptr);
+  EXPECT_EQ(s.accumulators().size(), 1u);
+}
+
+TEST(StatSet, IteratesInByteWiseNameOrder) {
+  StatSet s;
+  s.at(Ctr::msg_local) = 1;
+  s.at(Ctr::xbar) = 2;
+  s.at(Ctr::msg_L2Reply) = 3;  // 'L' < 'l': sorts before msg_local
+  const std::vector<std::string> want{"msg_L2Reply", "msg_local", "xbar"};
+  EXPECT_EQ(counter_names(s), want);
+}
+
+TEST(StatSet, SnapshotRoundTripComparesEqual) {
+  StatSet s;
+  s.at(Ctr::l2_hits) = 7;
+  s.at(Ctr::reply_used);
+  s.at(Acc::lat_circuit_setup).add(3.5);
+  s.at(Hist::hist_rep_circ).add(12.0);
+  StatSet other;
+  other.at(Ctr::xbar) = 1;  // load replaces the whole set
+  StateWriter w;
+  s.save(w);
+  StateReader r(w.data());
+  ASSERT_TRUE(other.load(r)) << r.error();
+  EXPECT_TRUE(other == s);
+}
+
+// A STAT-format section: `names` as counters, no accumulators/histograms.
+std::string stat_bytes(const std::vector<std::string>& names) {
+  StateWriter w;
+  w.u64(names.size());
+  for (const std::string& n : names) {
+    w.str(n);
+    w.u64(1);
+  }
+  w.u64(0);
+  w.u64(0);
+  return w.data();
+}
+
+TEST(StatSet, LoadRejectsUnknownAndRepeatedNames) {
+  for (const auto& [names, bad] :
+       std::vector<std::pair<std::vector<std::string>, std::string>>{
+           {{"l2_hits", "no_such_stat"}, "no_such_stat"},
+           {{"l2_hits", "xbar", "l2_hits"}, "l2_hits"}}) {
+    StatSet s;
+    StateReader r(stat_bytes(names));
+    EXPECT_FALSE(s.load(r));
+    EXPECT_NE(r.error().find("'" + bad + "'"), std::string::npos) << r.error();
+  }
+  StatSet s;
+  StateReader ok(stat_bytes({"l2_hits", "xbar"}));
+  ASSERT_TRUE(s.load(ok)) << ok.error();
+  EXPECT_EQ(s.counter_value("xbar"), 1u);
 }
 
 TEST(Config, HopCycleArithmetic) {

@@ -91,10 +91,10 @@ TEST(EnergyModel, StaticScalesWithAreaAndTime) {
 TEST(EnergyModel, DynamicTracksCounters) {
   NocConfig cfg = noc_for("Baseline", 16);
   StatSet s;
-  s.counter("buf_write") = 100;
-  s.counter("buf_read") = 100;
-  s.counter("xbar") = 100;
-  s.counter("link_flit") = 100;
+  s.at(Ctr::buf_write) = 100;
+  s.at(Ctr::buf_read) = 100;
+  s.at(Ctr::xbar) = 100;
+  s.at(Ctr::link_flit) = 100;
   auto e = EnergyModel::network_energy(cfg, s, 1);
   EXPECT_GT(e.buffer, 0.0);
   EXPECT_GT(e.crossbar, 0.0);
@@ -114,7 +114,7 @@ TEST(EnergyModel, BufferlessRouterLeaksLess) {
 TEST(EnergyModel, PerInstructionNormalisation) {
   NocConfig cfg = noc_for("Baseline", 16);
   StatSet s;
-  s.counter("xbar") = 1000;
+  s.at(Ctr::xbar) = 1000;
   double e1 = EnergyModel::energy_per_instruction(cfg, s, 1000, 10000);
   double e2 = EnergyModel::energy_per_instruction(cfg, s, 1000, 20000);
   EXPECT_DOUBLE_EQ(e1, 2 * e2);

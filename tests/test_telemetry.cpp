@@ -353,7 +353,8 @@ TEST(TelemetrySummary, ReproducesFig6CategoryCounters) {
   std::uint64_t classified = 0;
   for (int c = 0; c < kNumReplyCategories; ++c) {
     const auto cc = static_cast<ReplyCategory>(c);
-    if (const char* name = reply_counter_name(cc)) {
+    if (reply_counted(cc)) {
+      const std::string_view name = stat_name(reply_stat(cc));
       EXPECT_EQ(s.cat_counts[c], net.counter_value(name)) << name;
       classified += net.counter_value(name);
     }

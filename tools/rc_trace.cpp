@@ -102,8 +102,7 @@ int run_diff(const std::string& pa, const std::string& pb,
   }
   for (int c = 0; c < kNumReplyCategories; ++c) {
     const auto cc = static_cast<ReplyCategory>(c);
-    if (cc == ReplyCategory::NotReply || cc == ReplyCategory::ScroungeHop)
-      continue;
+    if (!reply_counted(cc)) continue;
     if (a.cat_counts[c] == 0 && b.cat_counts[c] == 0) continue;
     row_u((std::string("reply ") + to_string(cc)).c_str(), a.cat_counts[c],
           b.cat_counts[c]);
