@@ -20,8 +20,7 @@ namespace rc {
 /// off-chip).
 class AddressMap {
  public:
-  explicit AddressMap(const Topology* topo, int partition_side = 0)
-      : topo_(topo), pside_(partition_side) {}
+  explicit AddressMap(const Topology* topo, int partition_side = 0);
 
   bool partitioned() const { return pside_ > 0; }
   int partition_side() const { return pside_; }
@@ -38,8 +37,11 @@ class AddressMap {
     return (c.y / pside_) * partitions_per_row() + c.x / pside_;
   }
 
-  /// Nodes of partition `p`, row-major.
-  std::vector<NodeId> partition_nodes(int p) const;
+  /// Nodes of partition `p`, row-major (every node when monolithic).
+  const std::vector<NodeId>& partition_nodes(int p) const { return parts_[p]; }
+
+  /// Index of node `n` within partition_nodes(partition_of(n)).
+  int partition_slot(NodeId n) const { return slot_[n]; }
 
   /// Which partition an address belongs to (derived from the workload
   /// layout: private regions belong to their owning core's partition,
@@ -48,11 +50,27 @@ class AddressMap {
 
   NodeId home_l2(Addr addr) const;
 
+  /// The lines of a region homed at one bank, as line indices
+  /// `first, first + step, ...` below the region's line count.
+  struct HomedLines {
+    std::uint64_t first;
+    std::uint64_t step;
+  };
+
+  /// Which lines of the region [base, base + lines * kLineBytes) home_l2
+  /// maps to `bank`. The region must lie in one partition's address range
+  /// (a core's private region, or one partition's shared or migratory
+  /// slice); `first >= lines` when the bank homes none of them, as for
+  /// every bank outside that partition.
+  HomedLines homed_lines(Addr base, std::uint64_t lines, NodeId bank) const;
+
   NodeId mem_ctrl(Addr addr) const { return topo_->mem_ctrl_for(addr); }
 
  private:
   const Topology* topo_;
   int pside_;
+  std::vector<std::vector<NodeId>> parts_;  ///< partition_nodes, built once
+  std::vector<int> slot_;                   ///< partition_slot per node
 };
 
 /// Byte span of one partition's shared (and migratory) slice when

@@ -2,7 +2,8 @@
 // allocators (Table 4: "round-robin 2-phase VC/switch allocators").
 #pragma once
 
-#include <vector>
+#include <bit>
+#include <cstdint>
 
 #include "common/types.hpp"
 
@@ -10,28 +11,26 @@ namespace rc {
 
 class RoundRobinArbiter {
  public:
-  explicit RoundRobinArbiter(int n = 0) : n_(n), ptr_(0) {}
+  explicit RoundRobinArbiter(int n = 0) : ptr_(0) { resize(n); }
 
   void resize(int n) {
+    RC_ASSERT(n >= 0 && n <= 64, "round-robin arbiter supports 64 requesters");
     n_ = n;
+    mask_ = n_ == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n_) - 1;
     if (ptr_ >= n_) ptr_ = 0;
   }
 
-  /// Grant one of the requesting indices (bit i of `requests`), starting the
-  /// scan at the rotating priority pointer; returns -1 when nothing
-  /// requests. The pointer moves past the winner so grants rotate fairly.
-  /// Supports up to 64 requesters.
+  /// Grant one of the requesting indices (bit i of `requests`; bits at or
+  /// above size() are ignored), the first at or after the rotating priority
+  /// pointer, wrapping; returns -1 when nothing requests. The pointer moves
+  /// past the winner so grants rotate fairly.
   int grant(std::uint64_t requests) {
+    requests &= mask_;
     if (requests == 0) return -1;
-    for (int i = 0; i < n_; ++i) {
-      int idx = ptr_ + i;
-      if (idx >= n_) idx -= n_;
-      if (requests & (std::uint64_t{1} << idx)) {
-        ptr_ = idx + 1 == n_ ? 0 : idx + 1;
-        return idx;
-      }
-    }
-    return -1;
+    const std::uint64_t hi = requests & (~std::uint64_t{0} << ptr_);
+    const int idx = std::countr_zero(hi ? hi : requests);
+    ptr_ = idx + 1 == n_ ? 0 : idx + 1;
+    return idx;
   }
 
   int size() const { return n_; }
@@ -43,6 +42,7 @@ class RoundRobinArbiter {
  private:
   int n_;
   int ptr_;
+  std::uint64_t mask_;  ///< the low n_ bits
 };
 
 }  // namespace rc

@@ -57,14 +57,11 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
                                                root.fork(i + 1));
       if (amap_->partitioned()) {
         const int p = amap_->partition_of(i);
-        auto members = amap_->partition_nodes(p);
-        int member_idx = 0;
-        for (std::size_t k = 0; k < members.size(); ++k)
-          if (members[k] == i) member_idx = static_cast<int>(k);
         gen->set_region_bases(
             kSharedBase + static_cast<Addr>(p) * kPartitionSharedSpan,
             kMigratoryBase + static_cast<Addr>(p) * kPartitionSharedSpan,
-            static_cast<int>(members.size()), member_idx);
+            static_cast<int>(amap_->partition_nodes(p).size()),
+            amap_->partition_slot(i));
       }
       cores_.push_back(
           std::make_unique<Core>(i, std::move(gen), l1s_.back().get(),
@@ -196,52 +193,6 @@ void System::prewarm() {
   prewarmed_ = true;
   const int n = cfg_.noc.num_nodes();
   const bool sparse = cfg_.protocol == Protocol::SparseMSI;
-  auto hot_count = [](std::uint32_t lines, double frac) {
-    auto h = static_cast<std::uint32_t>(lines * frac);
-    return h ? h : 1u;
-  };
-  // Installs queue in program order and land a chunk at a time, bank by
-  // bank, so each bank's arrays are walked in one run per chunk rather than
-  // interleaved with every other bank's. Banks share no state and each still
-  // sees its own installs in program order, so every set fills exactly as a
-  // program-order pass would fill it. The chunk bound keeps the queue small:
-  // a list of the whole prewarm would be live at the footprint's peak.
-  struct Install {
-    Addr addr;
-    NodeId owner;  ///< hot L1 owner, or kInvalidNode for an L2-only line
-    NodeId bank;
-  };
-  constexpr std::size_t kChunk = std::size_t{1} << 16;
-  std::vector<Install> chunk;
-  chunk.reserve(kChunk);
-  std::vector<std::uint32_t> order, bank_pos(static_cast<std::size_t>(n) + 1);
-  auto flush = [&] {
-    // Stable counting sort of the chunk by home bank.
-    std::fill(bank_pos.begin(), bank_pos.end(), 0);
-    for (const Install& op : chunk) ++bank_pos[op.bank + 1];
-    for (int b = 0; b < n; ++b) bank_pos[b + 1] += bank_pos[b];
-    order.resize(chunk.size());
-    for (std::uint32_t i = 0; i < chunk.size(); ++i)
-      order[bank_pos[chunk[i].bank]++] = i;
-    for (std::uint32_t i : order) {
-      Install& op = chunk[i];
-      // Directory capacity gates a SparseMSI L1 copy: an untracked modified
-      // line would dodge recalls. Full-map MESI plants it regardless.
-      if (!l2s_[op.bank]->prewarm_line(op.addr, op.owner) && sparse)
-        op.owner = kInvalidNode;
-    }
-    // The chunk's hot L1 copies, in program order. MSI has no E, so hot
-    // lines warm up in M.
-    for (const Install& op : chunk)
-      if (op.owner != kInvalidNode)
-        l1s_[op.owner]->prewarm_line(op.addr,
-                                     sparse ? L1State::M : L1State::E);
-    chunk.clear();
-  };
-  auto install = [&](Addr a, NodeId owner) {
-    chunk.push_back({a, owner, amap_->home_l2(a)});
-    if (chunk.size() == kChunk) flush();
-  };
   // Private hot sets: L1-resident, exclusively owned, present in the L2
   // home bank with the owning core in the directory. The rest of every
   // working set becomes L2-resident while capacity lasts (prewarm_line
@@ -249,14 +200,21 @@ void System::prewarm() {
   // warm-up: first accesses are remote-L2 hits, and only footprints that
   // genuinely exceed the aggregate L2 (canneal, ocean, mcf/lbm in the mix)
   // keep producing memory traffic.
+  struct Region {
+    Addr base;
+    std::uint32_t lines;
+    std::uint32_t hot;  ///< leading lines also planted in `owner`'s L1
+    NodeId owner;
+  };
+  std::vector<Region> regions;  // in program order
   for (NodeId c = 0; c < n; ++c) {
     const AppProfile& prof = core_profs_[c];
-    const std::uint32_t priv_hot =
-        hot_count(prof.private_lines, prof.hot_fraction);
-    Addr base = kPrivateBase + static_cast<Addr>(c) * kPrivateStride;
-    for (std::uint32_t i = 0; i < prof.private_lines; ++i)
-      install(base + static_cast<Addr>(i) * kLineBytes,
-              i < priv_hot ? c : kInvalidNode);
+    // At least one hot line, and never more than the region holds.
+    const auto hot = static_cast<std::uint32_t>(prof.private_lines *
+                                                prof.hot_fraction);
+    regions.push_back({kPrivateBase + static_cast<Addr>(c) * kPrivateStride,
+                       prof.private_lines,
+                       std::min(std::max(hot, 1u), prof.private_lines), c});
   }
   // Shared/migratory regions: every partition gets its slice (one slice,
   // offset zero, when the chip is monolithic). Sizes follow the largest
@@ -266,17 +224,39 @@ void System::prewarm() {
     shared_lines = std::max(shared_lines, p.shared_lines);
     mig_lines = std::max(mig_lines, p.migratory_lines);
   }
-  const int nparts = amap_->num_partitions();
-  for (int p = 0; p < nparts; ++p) {
+  for (int p = 0; p < amap_->num_partitions(); ++p) {
     const Addr soff = static_cast<Addr>(p) * kPartitionSharedSpan;
-    for (std::uint32_t i = 0; i < shared_lines; ++i)
-      install(kSharedBase + soff + static_cast<Addr>(i) * kLineBytes,
-              kInvalidNode);
-    for (std::uint32_t i = 0; i < mig_lines; ++i)
-      install(kMigratoryBase + soff + static_cast<Addr>(i) * kLineBytes,
-              kInvalidNode);
+    regions.push_back({kSharedBase + soff, shared_lines, 0, kInvalidNode});
+    regions.push_back({kMigratoryBase + soff, mig_lines, 0, kInvalidNode});
   }
-  flush();
+  // Bank-major: each bank takes its own lines of every region, in program
+  // order, so its arrays are walked once while cache-resident. Banks share
+  // no state and each sees exactly its program-order install subsequence,
+  // so every L2 and directory set fills as a program-order pass fills it.
+  // Directory capacity gates a SparseMSI L1 copy (an untracked modified
+  // line would dodge recalls); `refused` marks the hot lines it turned away.
+  std::vector<std::vector<bool>> refused(static_cast<std::size_t>(n));
+  for (NodeId c = 0; c < n; ++c) refused[c].resize(regions[c].hot);
+  for (NodeId b = 0; b < n; ++b) {
+    L2Bank& bank = *l2s_[b];
+    for (const Region& r : regions) {
+      const auto [first, step] = amap_->homed_lines(r.base, r.lines, b);
+      for (std::uint64_t i = first; i < r.lines; i += step) {
+        const bool hot = i < r.hot;
+        if (!bank.prewarm_line(r.base + i * kLineBytes,
+                               hot ? r.owner : kInvalidNode) &&
+            hot && sparse)
+          refused[r.owner][i] = true;
+      }
+    }
+  }
+  // Hot L1 copies (full-map MESI plants them regardless of L2 capacity).
+  // MSI has no E, so hot lines warm up in M.
+  for (NodeId c = 0; c < n; ++c)
+    for (std::uint32_t i = 0; i < regions[c].hot; ++i)
+      if (!refused[c][i])
+        l1s_[c]->prewarm_line(regions[c].base + Addr{i} * kLineBytes,
+                              sparse ? L1State::M : L1State::E);
 }
 
 Cycle System::run() {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "coherence/address_map.hpp"
+#include "cpu/workload.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "sim/system.hpp"
@@ -70,6 +72,71 @@ TEST(PartitionMap, MonolithicIsUnchanged) {
   EXPECT_EQ(mono.num_partitions(), 1);
   EXPECT_EQ(mono.home_l2(5 * kLineBytes), 5);
   EXPECT_EQ(mono.partition_nodes(0).size(), 64u);
+}
+
+TEST(PartitionMap, PartitionSlotIndexesPartitionNodes) {
+  Topology topo(8, 8);
+  for (int pside : {0, 2, 4}) {
+    AddressMap amap(&topo, pside);
+    for (NodeId n = 0; n < 64; ++n)
+      EXPECT_EQ(amap.partition_nodes(amap.partition_of(n))
+                    [static_cast<std::size_t>(amap.partition_slot(n))],
+                n)
+          << "pside " << pside << " node " << n;
+  }
+}
+
+// homed_lines is what bank-major prewarm enumerates: for every bank and
+// every region, its progression must be exactly the region's lines that
+// home_l2 sends to that bank, ascending, and empty outside the region's
+// partition. Regions are the prewarm ones (private regions, shared and
+// migratory slices) plus line-offset ones, so the progression's start
+// is exercised away from a partition-size boundary.
+TEST(PartitionMap, HomedLinesMatchHomeL2) {
+  for (int side : {4, 8, 16}) {
+    Topology topo(side, side);
+    const int n = side * side;
+    for (int pside : {0, 2, 4}) {
+      if (pside > 0 && side % pside != 0) continue;
+      AddressMap amap(&topo, pside);
+      struct Region {
+        Addr base;
+        std::uint64_t lines;
+      };
+      std::vector<Region> regions;
+      for (NodeId c = 0; c < n; ++c) {
+        const Addr base =
+            kPrivateBase + static_cast<Addr>(c) * kPrivateStride;
+        regions.push_back({base, 1000});
+        regions.push_back({base + 7 * kLineBytes, 333});
+      }
+      for (int p = 0; p < amap.num_partitions(); ++p) {
+        const Addr soff = static_cast<Addr>(p) * kPartitionSharedSpan;
+        regions.push_back({kSharedBase + soff, 1000});
+        regions.push_back({kMigratoryBase + soff, 1000});
+        regions.push_back({kSharedBase + soff + 3 * kLineBytes, 500});
+      }
+      for (const Region& r : regions) {
+        std::vector<std::vector<std::uint64_t>> want(
+            static_cast<std::size_t>(n));
+        for (std::uint64_t i = 0; i < r.lines; ++i)
+          want[amap.home_l2(r.base + i * kLineBytes)].push_back(i);
+        const int rp = amap.partition_of_addr(r.base);
+        for (NodeId b = 0; b < n; ++b) {
+          const auto [first, step] = amap.homed_lines(r.base, r.lines, b);
+          std::vector<std::uint64_t> got;
+          for (std::uint64_t i = first; i < r.lines; i += step)
+            got.push_back(i);
+          ASSERT_EQ(got, want[b]) << "side " << side << " pside " << pside
+                                  << " base " << std::hex << r.base
+                                  << std::dec << " bank " << b;
+          if (amap.partition_of(b) != rp) {
+            ASSERT_GE(first, r.lines) << "bank " << b;
+          }
+        }
+      }
+    }
+  }
 }
 
 RunResult run_partitioned(const std::string& preset, int pside) {

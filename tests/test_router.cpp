@@ -74,6 +74,41 @@ TEST(RoundRobinArbiterTest, SkipsNonRequesters) {
   EXPECT_EQ(arb.grant(0), -1);
 }
 
+// grant() must pick exactly what a linear scan from the pointer picks, and
+// leave the pointer where that scan leaves it, for every width, pointer and
+// request mask (stray bits at or above the width included).
+TEST(RoundRobinArbiterTest, MatchesLinearScan) {
+  auto scan = [](int n, int& ptr, std::uint64_t req) {
+    for (int i = 0; i < n; ++i) {
+      const int idx = (ptr + i) % n;
+      if (req & (std::uint64_t{1} << idx)) {
+        ptr = idx + 1 == n ? 0 : idx + 1;
+        return idx;
+      }
+    }
+    return -1;
+  };
+  Rng rng(7);
+  for (int n = 1; n <= 64; ++n) {
+    for (int p = 0; p < n; ++p) {
+      for (int k = 0; k < 48; ++k) {
+        // Dense, sparse and single-bit masks, plus the empty one.
+        std::uint64_t req = rng.next_u64();
+        if (k % 3 == 1) req &= rng.next_u64() & rng.next_u64();
+        if (k % 3 == 2) req = std::uint64_t{1} << rng.next_below(64);
+        if (k == 0) req = 0;
+        RoundRobinArbiter arb(n);
+        arb.set_pointer(p);
+        int ref_ptr = p;
+        const int want = scan(n, ref_ptr, req);
+        ASSERT_EQ(arb.grant(req), want) << "n=" << n << " ptr=" << p
+                                        << " req=" << std::hex << req;
+        ASSERT_EQ(arb.pointer(), ref_ptr) << "n=" << n << " ptr=" << p;
+      }
+    }
+  }
+}
+
 TEST(RouterPipeline, SingleFlitFiveCyclesPerHop) {
   // Uncontended 1-flit request over H links: request_total(H) = 7 + 5H.
   for (int hops = 1; hops <= 3; ++hops) {
