@@ -12,7 +12,7 @@ L1Cache::L1Cache(NodeId node, const CacheConfig& cfg, Network* net,
     : node_(node), cfg_(cfg), net_(net), amap_(amap), stats_(stats),
       array_(cfg.l1_sets, cfg.l1_ways) {}
 
-MsgPtr L1Cache::make(MsgType t, NodeId dest, Addr addr, int flits) const {
+MsgPtr L1Cache::make(MsgType t, NodeId dest, Addr addr) const {
   auto m = std::make_shared<Message>();
   // ids are unique within one System (and stable across runs): tagged by
   // controller class and node so parallel Systems never share state.
@@ -22,7 +22,7 @@ MsgPtr L1Cache::make(MsgType t, NodeId dest, Addr addr, int flits) const {
   m->src = node_;
   m->dest = dest;
   m->addr = line_addr(addr);
-  m->size_flits = flits;
+  m->size_flits = flits_of(t);
   return m;
 }
 
@@ -48,7 +48,7 @@ bool L1Cache::access(Addr addr, bool is_write, Cycle now) {
   ++stats_->at(is_write ? Ctr::l1_write_miss : Ctr::l1_read_miss);
   mshr_ = Mshr{true, addr, is_write, now};
   auto req = make(is_write ? MsgType::GetX : MsgType::GetS,
-                  amap_->home_l2(addr), addr, 1);
+                  amap_->home_l2(addr), addr);
   send_later(std::move(req), now + cfg_.l1_hit_latency);  // tag lookup first
   return true;
 }
@@ -60,7 +60,7 @@ L1Cache::Line* L1Cache::evict_for(Addr addr, Cycle now) {
   if (v->meta.st == L1State::M || v->meta.st == L1State::E) {
     // Table 3, L1 replacement: data to home L2, acknowledged with L2WbAck.
     const Addr tag = array_.tag_of(*v);
-    auto wb = make(MsgType::WbData, amap_->home_l2(tag), tag, 5);
+    auto wb = make(MsgType::WbData, amap_->home_l2(tag), tag);
     send_later(std::move(wb), now);
     ++stats_->at(Ctr::l1_writebacks);
   } else {
@@ -87,15 +87,15 @@ void L1Cache::handle(const MsgPtr& msg, Cycle now) {
     case MsgType::L2Reply: {
       fill(msg->addr, msg->exclusive, now);
       if (!msg->ack_elided) {
-        auto ack = make(MsgType::L1DataAck, msg->src, msg->addr, 1);
+        auto ack = make(MsgType::L1DataAck, msg->src, msg->addr);
         send_later(std::move(ack), now);
       }
       break;
     }
     case MsgType::L1ToL1: {
       fill(msg->addr, /*exclusive=*/mshr_.is_write, now);
-      auto ack = make(MsgType::L1DataAck, amap_->home_l2(msg->addr),
-                      msg->addr, 1);
+      auto ack =
+          make(MsgType::L1DataAck, amap_->home_l2(msg->addr), msg->addr);
       send_later(std::move(ack), now);
       break;
     }
@@ -106,7 +106,7 @@ void L1Cache::handle(const MsgPtr& msg, Cycle now) {
         else
           array_.invalidate(*line);
       }
-      auto ack = make(MsgType::L1InvAck, msg->src, msg->addr, 1);
+      auto ack = make(MsgType::L1InvAck, msg->src, msg->addr);
       send_later(std::move(ack), now + cfg_.l1_hit_latency);
       break;
     }
@@ -115,14 +115,14 @@ void L1Cache::handle(const MsgPtr& msg, Cycle now) {
       // already written back races here benignly: the WB buffer still holds
       // the data, so we respond regardless.
       if (auto* line = array_.find(msg->addr)) line->meta.st = L1State::S;
-      auto d = make(MsgType::L1ToL1, msg->fwd_requestor, msg->addr, 5);
+      auto d = make(MsgType::L1ToL1, msg->fwd_requestor, msg->addr);
       d->undone_marker = msg->undone_marker;
       send_later(std::move(d), now + cfg_.l1_hit_latency);
       break;
     }
     case MsgType::FwdGetX: {
       if (auto* line = array_.find(msg->addr)) array_.invalidate(*line);
-      auto d = make(MsgType::L1ToL1, msg->fwd_requestor, msg->addr, 5);
+      auto d = make(MsgType::L1ToL1, msg->fwd_requestor, msg->addr);
       d->undone_marker = msg->undone_marker;
       send_later(std::move(d), now + cfg_.l1_hit_latency);
       break;

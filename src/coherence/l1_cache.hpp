@@ -74,7 +74,7 @@ class L1Cache : public Ticker {
   /// A free way for `addr`, evicting the set's LRU line when it is full.
   Line* evict_for(Addr addr, Cycle now);
   void send_later(MsgPtr msg, Cycle when);
-  MsgPtr make(MsgType t, NodeId dest, Addr addr, int flits) const;
+  MsgPtr make(MsgType t, NodeId dest, Addr addr) const;
 
   NodeId node_;
   CacheConfig cfg_;

@@ -18,7 +18,7 @@ L2Bank::L2Bank(NodeId node, const CacheConfig& cfg, const CircuitConfig& circ,
     dir_ = std::make_unique<Directory>(cfg, net->topo().num_nodes());
 }
 
-MsgPtr L2Bank::make(MsgType t, NodeId dest, Addr addr, int flits) const {
+MsgPtr L2Bank::make(MsgType t, NodeId dest, Addr addr) const {
   auto m = std::make_shared<Message>();
   m->id = (2ull << 60) | (static_cast<std::uint64_t>(node_) << 40) |
           ++next_msg_id_;
@@ -26,7 +26,7 @@ MsgPtr L2Bank::make(MsgType t, NodeId dest, Addr addr, int flits) const {
   m->src = node_;
   m->dest = dest;
   m->addr = line_addr(addr);
-  m->size_flits = flits;
+  m->size_flits = flits_of(t);
   return m;
 }
 
@@ -73,7 +73,7 @@ void L2Bank::handle(const MsgPtr& msg, Cycle now) {
       }
       // Acknowledge regardless; a WB racing our own eviction-invalidate is
       // benign (the data is on its way to memory either way).
-      send_later(make(MsgType::L2WbAck, msg->src, addr, 1),
+      send_later(make(MsgType::L2WbAck, msg->src, addr),
                  now + cfg_.l2_hit_latency);
       ++stats_->at(Ctr::l2_wb_received);
       break;
@@ -164,7 +164,7 @@ void L2Bank::handle(const MsgPtr& msg, Cycle now) {
         auto* line = array_.find(addr);
         RC_ASSERT(line != nullptr, "evicting a missing line");
         if (line->meta.dirty)
-          send_later(make(MsgType::MemWb, amap_->mem_ctrl(addr), addr, 5), now);
+          send_later(make(MsgType::MemWb, amap_->mem_ctrl(addr), addr), now);
         array_.invalidate(*line);
         ++stats_->at(Ctr::l2_evictions);
         if (proto_ == Protocol::SparseMSI)
@@ -226,7 +226,7 @@ void L2Bank::process_cpu_req(const MsgPtr& msg, Cycle now) {
       // Simpler protocol variant (§3): recall (downgrade) the owner's copy
       // and supply the data from the home bank — the requestor's circuit
       // stays built, and the owner keeps the line in S.
-      auto rec = make(MsgType::Inv, m.owner, msg->addr, 1);
+      auto rec = make(MsgType::Inv, m.owner, msg->addr);
       rec->downgrade = true;
       send_later(std::move(rec), now + cfg_.l2_hit_latency);
       m.sharers.assign_only(m.owner);
@@ -238,7 +238,7 @@ void L2Bank::process_cpu_req(const MsgPtr& msg, Cycle now) {
       // §4.4 case 1: the owner supplies the data directly; the circuit that
       // the request built toward us will never be used — undo it.
       bool undone = try_undo_circuit(msg, now, /*expect_reply=*/false);
-      auto fwd = make(MsgType::FwdGetS, m.owner, msg->addr, 1);
+      auto fwd = make(MsgType::FwdGetS, m.owner, msg->addr);
       fwd->fwd_requestor = req;
       fwd->undone_marker = undone;
       send_later(std::move(fwd), now + cfg_.l2_hit_latency);
@@ -272,7 +272,7 @@ void L2Bank::process_cpu_req(const MsgPtr& msg, Cycle now) {
   }
   if (m.owner != kInvalidNode) {
     bool undone = try_undo_circuit(msg, now, /*expect_reply=*/false);
-    auto fwd = make(MsgType::FwdGetX, m.owner, msg->addr, 1);
+    auto fwd = make(MsgType::FwdGetX, m.owner, msg->addr);
     fwd->fwd_requestor = req;
     fwd->undone_marker = undone;
     send_later(std::move(fwd), now + cfg_.l2_hit_latency);
@@ -324,7 +324,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
       // plain invalidation; otherwise the full-map recall/forward shapes
       // apply, ending with {old owner, requestor} both in S (two pointers).
       if (dir_->pointer_limit() < 2) {
-        send_later(make(MsgType::Inv, m.owner, msg->addr, 1),
+        send_later(make(MsgType::Inv, m.owner, msg->addr),
                    now + cfg_.l2_hit_latency);
         ++stats_->at(Ctr::l2_invs_sent);
         m.sharers.clear();
@@ -333,7 +333,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
         txns_[msg->addr] = Txn{TxnState::WaitInvAcks, msg, 1, 0, {}};
         ++stats_->at(Ctr::l2_recalls);
       } else if (!cfg_.direct_l1_transfers) {
-        auto rec = make(MsgType::Inv, m.owner, msg->addr, 1);
+        auto rec = make(MsgType::Inv, m.owner, msg->addr);
         rec->downgrade = true;
         send_later(std::move(rec), now + cfg_.l2_hit_latency);
         ++stats_->at(Ctr::l2_invs_sent);
@@ -346,7 +346,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
         // §4.4 case 1: owner-to-owner forward; the requestor's circuit
         // toward us will never be used — undo it.
         bool undone = try_undo_circuit(msg, now, /*expect_reply=*/false);
-        auto fwd = make(MsgType::FwdGetS, m.owner, msg->addr, 1);
+        auto fwd = make(MsgType::FwdGetS, m.owner, msg->addr);
         fwd->fwd_requestor = req;
         fwd->undone_marker = undone;
         send_later(std::move(fwd), now + cfg_.l2_hit_latency);
@@ -365,7 +365,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
       NodeId victim = m.sharers.lowest_besides(req);
       RC_ASSERT(victim != kInvalidNode, "pointer recall with no sharers");
       m.sharers.remove(victim);
-      send_later(make(MsgType::Inv, victim, msg->addr, 1),
+      send_later(make(MsgType::Inv, victim, msg->addr),
                  now + cfg_.l2_hit_latency);
       ++stats_->at(Ctr::l2_invs_sent);
       txns_[msg->addr] = Txn{TxnState::WaitPtrRoom, msg, 1, 0, {}};
@@ -382,7 +382,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
   if (m.owner != kInvalidNode) {
     if (cfg_.direct_l1_transfers) {
       bool undone = try_undo_circuit(msg, now, /*expect_reply=*/false);
-      auto fwd = make(MsgType::FwdGetX, m.owner, msg->addr, 1);
+      auto fwd = make(MsgType::FwdGetX, m.owner, msg->addr);
       fwd->fwd_requestor = req;
       fwd->undone_marker = undone;
       send_later(std::move(fwd), now + cfg_.l2_hit_latency);
@@ -392,7 +392,7 @@ void L2Bank::process_cpu_req_sparse(const MsgPtr& msg, Cycle now) {
       txns_[msg->addr] = Txn{TxnState::WaitDataAck, msg, 0, 0, {}};
       ++stats_->at(Ctr::l2_fwd_getx);
     } else {
-      send_later(make(MsgType::Inv, m.owner, msg->addr, 1),
+      send_later(make(MsgType::Inv, m.owner, msg->addr),
                  now + cfg_.l2_hit_latency);
       ++stats_->at(Ctr::l2_invs_sent);
       m.owner = kInvalidNode;
@@ -453,11 +453,11 @@ int L2Bank::send_dir_invalidations(const Directory::Line& entry, NodeId except,
   int n = 0;
   entry.meta.sharers.for_each([&](NodeId s) {
     if (s == except) return;
-    send_later(make(MsgType::Inv, s, tag, 1), now + cfg_.l2_hit_latency);
+    send_later(make(MsgType::Inv, s, tag), now + cfg_.l2_hit_latency);
     ++n;
   });
   if (entry.meta.owner != kInvalidNode && entry.meta.owner != except) {
-    send_later(make(MsgType::Inv, entry.meta.owner, tag, 1),
+    send_later(make(MsgType::Inv, entry.meta.owner, tag),
                now + cfg_.l2_hit_latency);
     ++n;
   }
@@ -470,11 +470,11 @@ int L2Bank::send_invalidations(const Line& line, NodeId except, Cycle now) {
   int n = 0;
   line.meta.sharers.for_each([&](NodeId s) {
     if (s == except) return;
-    send_later(make(MsgType::Inv, s, tag, 1), now + cfg_.l2_hit_latency);
+    send_later(make(MsgType::Inv, s, tag), now + cfg_.l2_hit_latency);
     ++n;
   });
   if (line.meta.owner != kInvalidNode && line.meta.owner != except) {
-    send_later(make(MsgType::Inv, line.meta.owner, tag, 1),
+    send_later(make(MsgType::Inv, line.meta.owner, tag),
                now + cfg_.l2_hit_latency);
     ++n;
   }
@@ -483,7 +483,7 @@ int L2Bank::send_invalidations(const Line& line, NodeId except, Cycle now) {
 }
 
 void L2Bank::send_data_reply(const MsgPtr& req, bool exclusive, Cycle now) {
-  auto rep = make(MsgType::L2Reply, req->src, req->addr, 5);
+  auto rep = make(MsgType::L2Reply, req->src, req->addr);
   rep->exclusive = exclusive;
   send_later(std::move(rep), now + cfg_.l2_hit_latency);
 }
@@ -533,7 +533,7 @@ void L2Bank::start_miss(const MsgPtr& msg, Cycle now) {
     return;
   }
   if (victim->meta.dirty)
-    send_later(make(MsgType::MemWb, amap_->mem_ctrl(vtag), vtag, 5),
+    send_later(make(MsgType::MemWb, amap_->mem_ctrl(vtag), vtag),
                now + cfg_.l2_hit_latency);
   array_.invalidate(*victim);
   ++stats_->at(Ctr::l2_evictions);
@@ -554,7 +554,7 @@ void L2Bank::proceed_miss(Addr addr, const MsgPtr& msg, Cycle now) {
   t.pending = msg;
   t.waiting = std::move(waiting);
   txns_[addr] = std::move(t);
-  send_later(make(MsgType::MemRead, amap_->mem_ctrl(addr), addr, 1),
+  send_later(make(MsgType::MemRead, amap_->mem_ctrl(addr), addr),
              now + cfg_.l2_hit_latency);
 }
 

@@ -108,7 +108,7 @@ class L2Bank : public Ticker {
   void complete_txn(Addr addr, Cycle now);
   int send_invalidations(const Line& line, NodeId except, Cycle now);
   void send_later(MsgPtr msg, Cycle when);
-  MsgPtr make(MsgType t, NodeId dest, Addr addr, int flits) const;
+  MsgPtr make(MsgType t, NodeId dest, Addr addr) const;
   bool try_undo_circuit(const MsgPtr& req, Cycle now, bool expect_reply);
 
   NodeId node_;

@@ -160,9 +160,6 @@ struct NocConfig {
   int vcs_in_vn(VNet vn) const {
     return vn == VNet::Request ? vcs_request_vn : vcs_reply_vn;
   }
-  /// Index of the VC dedicated to circuits inside the reply VN.
-  int circuit_vc() const { return 0; }
-
   /// Packet-switched cycles per hop (router + link): 5 in the paper.
   int packet_hop_cycles() const { return router_stages + link_latency; }
   /// Circuit-switched cycles per hop (check+ST + link): 2 in the paper.
@@ -204,18 +201,10 @@ struct CacheConfig {
   int dir_pointers = 8;
 };
 
-/// Message sizes in flits: control fits one 16B flit; a 64B data line plus
-/// header needs five (Table 4: "5-flit buffers, enough for a whole message").
-struct MessageSizes {
-  int control_flits = 1;
-  int data_flits = 5;
-};
-
 /// Everything needed to build one System.
 struct SystemConfig {
   NocConfig noc;
   CacheConfig cache;
-  MessageSizes sizes;
 
   std::uint64_t seed = 1;
   std::string workload = "mix";  ///< app model name (see cpu/apps.hpp)

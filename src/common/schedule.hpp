@@ -17,7 +17,7 @@
 // earliest cycle at which anything in the shard can possibly act. A shard
 // whose frontier is beyond the current cycle skips the scan entirely, and
 // when every shard's frontier is in the future the engine fast-forwards the
-// global clock to the minimum frontier in one step (see System::run_cycles).
+// global clock to the minimum frontier in one step (see Engine::run).
 //
 // Two modes:
 //   Activity - tick only components whose wake_at has arrived (default).
@@ -147,9 +147,9 @@ class ShardSchedule {
   ShardSchedule(const ShardSchedule&) = delete;
   ShardSchedule& operator=(const ShardSchedule&) = delete;
   ~ShardSchedule() {
-    // Components outlive their schedule (members are declared after the
-    // component containers in System/SyntheticTraffic); hand their stamps
-    // back so a schedule-less tick loop keeps working.
+    // Components outlive their schedule (each host declares its Engine,
+    // which owns the schedules, after the components it drives); hand their
+    // stamps back so a schedule-less tick loop keeps working.
     for (Ticker* t : tickers_) t->unbind_activity();
   }
 

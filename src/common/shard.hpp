@@ -1,5 +1,7 @@
 // Sharded parallel tick engine: mesh partitioning and the per-cycle barrier
-// loop shared by System and SyntheticTraffic.
+// loop. The Engine (sim/engine.hpp) is its one user: every host — System,
+// SyntheticTraffic, bench-report's micro-router point — runs its cycles
+// through it, at every shard count including 1.
 //
 // The mesh is split into contiguous tile shards (each tile = core + L1 + L2
 // bank + optional MC + router + NI); one worker thread owns each shard and
@@ -44,8 +46,8 @@ std::vector<ShardRange> shard_ranges(int num_nodes, int shards);
 /// Resolve the shard count for a run. `configured > 0` is an explicit
 /// request (tests pin 1/2/4 this way) and wins; `configured == 0` defers to
 /// the RC_SHARDS environment variable ("auto" = hardware concurrency
-/// clamped to the node count, a positive integer otherwise, unset = 1 = the
-/// serial engine). The result is clamped to [1, num_nodes].
+/// clamped to the node count, a positive integer otherwise, unset = 1 = one
+/// shard on the calling thread). The result is clamped to [1, num_nodes].
 int effective_shards(int configured, int num_nodes);
 
 /// Run cycles over `nshards` workers with a per-cycle barrier, starting at
@@ -57,7 +59,8 @@ int effective_shards(int configured, int num_nodes);
 /// into the next cycle. `finish` returns the next cycle to simulate — `now
 /// + 1` to step normally, or a later cycle to fast-forward an engine whose
 /// activity frontiers prove nothing can happen in between (it must advance
-/// the clock by at least one). The calling thread acts as shard 0.
+/// the clock by at least one). The calling thread acts as shard 0; with one
+/// shard no thread is started and the barrier is a single atomic countdown.
 ///
 /// The barrier is sense-reversing: the last arriver runs the completion and
 /// flips the shared sense word; the others spin briefly on it and then park

@@ -21,18 +21,17 @@ void MemoryController::handle(const MsgPtr& msg, Cycle now) {
   switch (msg->type) {
     case MsgType::MemRead:
       reply->type = MsgType::MemData;
-      reply->size_flits = 5;
       ++stats_->at(Ctr::mem_reads);
       break;
     case MsgType::MemWb:
       reply->type = MsgType::MemAck;
-      reply->size_flits = 1;
       ++stats_->at(Ctr::mem_writebacks);
       break;
     default:
       fatal(std::string("MC received unexpected message ") +
             to_string(msg->type));
   }
+  reply->size_flits = flits_of(reply->type);
   outbox_.emplace(now + cfg_.memory_latency, std::move(reply));
   wake(now + cfg_.memory_latency);
 }

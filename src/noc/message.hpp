@@ -60,6 +60,16 @@ bool reply_circuit_eligible(MsgType t);
 /// True for data-carrying messages (5 flits); the rest are 1-flit control.
 bool is_data(MsgType t);
 
+/// Control messages fit one 16B flit; a 64B data line plus header needs
+/// five (Table 4: "5-flit buffers, enough for a whole message").
+inline constexpr int kControlFlits = 1;
+inline constexpr int kDataFlits = 5;
+
+/// Packet length of a message of type `t`, in flits.
+inline int flits_of(MsgType t) {
+  return is_data(t) ? kDataFlits : kControlFlits;
+}
+
 /// Per-message circuit bookkeeping for the statistics of Fig. 6.
 enum class CircuitOutcome : std::uint8_t {
   NotEligible,  ///< reply type that can never have a circuit

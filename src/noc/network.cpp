@@ -151,7 +151,7 @@ void Network::drain_local(NodeId n, Cycle now) {
 
 void Network::tick(Cycle now) {
   RC_ASSERT(ranges_.size() <= 1,
-            "Network::tick on a sharded network — use tick_shard/finish_cycle");
+            "Network::tick on a sharded network — use an Engine");
   const NodeId n = static_cast<NodeId>(nis_.size());
   for (NodeId i = 0; i < n; ++i) drain_local(i, now);
   // Fixed scan order (all NIs, then all routers, in node order) regardless
@@ -193,18 +193,6 @@ void Network::configure_shards(const std::vector<ShardRange>& ranges) {
     l.pipe->set_deferred(cross, cross ? &dirty_[ps] : nullptr);
   }
   ranges_ = ranges;
-}
-
-void Network::tick_shard(int shard, Cycle now) {
-  RC_ASSERT(shard >= 0 && shard < static_cast<int>(ranges_.size()),
-            "tick_shard: bad shard index");
-  const ShardRange r = ranges_[static_cast<std::size_t>(shard)];
-  // Same in-node order as the serial tick: bypasses, NIs, routers.
-  for (NodeId i = r.begin; i < r.end; ++i) drain_local(i, now);
-  for (NodeId i = r.begin; i < r.end; ++i)
-    tick_scheduled(*nis_[i], now, mode_, "network interface");
-  for (NodeId i = r.begin; i < r.end; ++i)
-    tick_scheduled(*routers_[i], now, mode_, "router");
 }
 
 void Network::finish_cycle(Cycle now) {

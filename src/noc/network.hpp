@@ -6,13 +6,15 @@
 // paper's accounting, which only counts messages that traverse the NoC.
 //
 // Execution models:
-//  * serial — tick(now) advances every node, exactly as before;
-//  * sharded — configure_shards() splits the nodes into contiguous ranges
-//    (see common/shard.hpp); each worker calls tick_shard(k, now) for its
-//    range and the barrier completion calls finish_cycle(now), which flushes
-//    the deferred cross-shard pipes and fires the observer's global scan.
-//    Statistics are per node and merged on demand, so results are
-//    bit-identical for any shard count.
+//  * Engine (sim/engine.hpp) — the simulation hosts' driver.
+//    configure_shards() splits the nodes into contiguous ranges (see
+//    common/shard.hpp), append_schedule() registers each range's fabric
+//    components with that shard's schedule, and the barrier completion
+//    calls finish_cycle(now), which flushes the deferred cross-shard pipes
+//    and fires the observer's global scan. Statistics are per node and
+//    merged on demand, so results are bit-identical for any shard count;
+//  * bare — tick(now) advances every node of an unsharded network, for
+//    unit tests and drivers that own no other components.
 #pragma once
 
 #include <deque>
@@ -49,7 +51,7 @@ class Network {
   /// Attach a passive fabric observer to every router, NI and circuit table
   /// (see noc/observer.hpp). Pass nullptr to detach. The observed network
   /// additionally fires NocObserver::on_network_cycle at the end of every
-  /// tick (serial) or from finish_cycle (sharded) — either way with a
+  /// tick() (bare) or from finish_cycle (Engine) — either way with a
   /// consistent global view.
   void set_observer(NocObserver* obs);
   NocObserver* observer() const { return obs_; }
@@ -59,20 +61,17 @@ class Network {
   /// §4.6 hook: reply head injected, with circuit usage flag.
   void set_reply_injected(std::function<void(NodeId, const MsgPtr&, bool)> cb);
 
-  /// Serial tick: advance every node one cycle. Only valid when at most one
-  /// shard is configured (the default).
+  /// Bare tick: advance every node one cycle and fire the observer's scan.
+  /// Only valid when at most one shard is configured (the default).
   void tick(Cycle now);
 
-  // ---- sharded execution (see common/shard.hpp) ----
+  // ---- sharded execution (see common/shard.hpp, sim/engine.hpp) ----
   /// Partition the fabric. Pipes whose producer and consumer routers live in
   /// different shards switch to deferred (mailbox) pushes. One range (the
   /// default) restores fully serial behaviour.
   void configure_shards(const std::vector<ShardRange>& ranges);
   int num_shards() const { return static_cast<int>(ranges_.size()); }
   const std::vector<ShardRange>& shard_ranges_of() const { return ranges_; }
-  /// Advance shard k's nodes one cycle: drain their same-tile bypasses, tick
-  /// their NIs, then their routers — the same in-node order as tick().
-  void tick_shard(int shard, Cycle now);
   /// Barrier completion: flush the deferred cross-shard pipes that actually
   /// received pushes this cycle (each producer shard keeps a dirty list, so
   /// quiet boundaries cost nothing), waking the consuming Tickers, then fire
@@ -82,9 +81,9 @@ class Network {
 
   /// Register the fabric components of nodes [r.begin, r.end) with a shard
   /// schedule, in the serial tick order (bypass drains, NIs, routers). The
-  /// engines (System, SyntheticTraffic) build one schedule per shard and
-  /// drive sweeps themselves instead of calling tick()/tick_shard(); the
-  /// observer scan then becomes the engine's responsibility.
+  /// Engine (sim/engine.hpp) builds one schedule per shard and drives the
+  /// sweeps instead of calling tick(); the observer scan then comes from
+  /// finish_cycle.
   void append_schedule(ShardSchedule& sched, const ShardRange& r);
 
   const Topology& topo() const { return topo_; }

@@ -32,7 +32,7 @@ void NetworkInterface::send(const MsgPtr& msg, Cycle now) {
     msg->path_hops = topo_->hops(id_, msg->dest);
     msg->build_circuit = cfg_.circuit.uses_circuits() &&
                          request_builds_circuit(msg->type);
-    msg->reply_size_flits = reply_flits_for_request(msg->type, MessageSizes{});
+    msg->reply_size_flits = reply_flits_for_request(msg->type);
     req_q_.push_back(msg);
   } else {
     push_reply(msg);

@@ -8,14 +8,14 @@
 
 namespace rc {
 
-int reply_flits_for_request(MsgType req, const MessageSizes& sizes) {
+int reply_flits_for_request(MsgType req) {
   switch (req) {
     case MsgType::GetS:
     case MsgType::GetX:
     case MsgType::MemRead:
-      return sizes.data_flits;  // L2Reply / MemData carry a cache line
+      return kDataFlits;  // L2Reply / MemData carry a cache line
     default:
-      return sizes.control_flits;  // L2WbAck / MemAck
+      return kControlFlits;  // L2WbAck / MemAck
   }
 }
 

@@ -257,7 +257,7 @@ class Router : public Ticker {
 };
 
 /// Flit count of the reply a circuit-building request reserves for.
-int reply_flits_for_request(MsgType req, const MessageSizes& sizes);
+int reply_flits_for_request(MsgType req);
 
 /// Lower-bound service estimate (cycles between request delivery and reply
 /// hand-off) used by the timed reservation (§4.7); shared with tests.

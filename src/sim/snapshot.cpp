@@ -64,8 +64,10 @@ ConfigDigest config_digest(const SystemConfig& cfg) {
   num("cache.dir_sets", ca.dir_sets);
   num("cache.dir_ways", ca.dir_ways);
   num("cache.dir_pointers", ca.dir_pointers);
-  num("sizes.control_flits", cfg.sizes.control_flits);
-  num("sizes.data_flits", cfg.sizes.data_flits);
+  // Message sizes are fixed per type (flits_of), not configured; the digest
+  // keeps both entries so snapshot bytes and warm-group hashes stay stable.
+  num("sizes.control_flits", kControlFlits);
+  num("sizes.data_flits", kDataFlits);
   num("seed", static_cast<long long>(cfg.seed));
   txt("workload", cfg.workload);
   txt("protocol", to_string(cfg.protocol));

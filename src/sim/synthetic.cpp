@@ -1,6 +1,5 @@
 #include "sim/synthetic.hpp"
 
-#include "noc/observer.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/validator.hpp"
 
@@ -16,8 +15,6 @@ SyntheticTraffic::SyntheticTraffic(const NocConfig& cfg, double rate,
   validator_ = Validator::maybe_attach(net_.get());
   telemetry_ = Telemetry::maybe_attach(net_.get());
   const int n = cfg_.num_nodes();
-  shards_ = effective_shards(shards, n);
-  if (shards_ > 1) net_->configure_shards(shard_ranges(n, shards_));
   Rng root(seed);
   nodes_.resize(static_cast<std::size_t>(n));
   drivers_.resize(static_cast<std::size_t>(n));  // stable before seal
@@ -39,7 +36,7 @@ SyntheticTraffic::SyntheticTraffic(const NocConfig& cfg, double rate,
       rep->src = node;
       rep->dest = m->src;
       rep->addr = m->addr;
-      rep->size_flits = 5;
+      rep->size_flits = flits_of(rep->type);
       const Cycle due = m->delivered + service_;
       st.pending_replies.emplace(due, rep);
       drivers_[node].wake(due);  // same shard: the NI delivering is local
@@ -47,21 +44,11 @@ SyntheticTraffic::SyntheticTraffic(const NocConfig& cfg, double rate,
       ++st.replies_done;
     }
   });
-  build_schedules();
-}
-
-void SyntheticTraffic::build_schedules() {
-  const auto& ranges = net_->shard_ranges_of();
-  scheds_.reserve(ranges.size());
-  for (const ShardRange& r : ranges) {
-    auto s = std::make_unique<ShardSchedule>();
-    // Serial tick order: drivers of the shard's nodes, then the fabric.
+  // Serial tick order: drivers of the shard's nodes, then the fabric.
+  engine_.build(*net_, shards, [this](ShardSchedule& s, const ShardRange& r) {
     for (NodeId i = r.begin; i < r.end; ++i)
-      s->add(&drivers_[i], "synthetic driver");
-    net_->append_schedule(*s, r);
-    s->seal();
-    scheds_.push_back(std::move(s));
-  }
+      s.add(&drivers_[i], "synthetic driver");
+  });
 }
 
 void SyntheticTraffic::tick_node(NodeId i, Cycle now) {
@@ -87,54 +74,19 @@ void SyntheticTraffic::tick_node(NodeId i, Cycle now) {
     // Unique line per transaction (node-tagged) keeps circuit identities
     // distinct.
     req->addr = ((static_cast<Addr>(i) << 32) + ++st.next_addr) * kLineBytes;
-    req->size_flits = 1;
+    req->size_flits = flits_of(req->type);
     net_->send(req, now);
     ++st.requests_done;
   }
   draw_next_inject(st, now + 1);
 }
 
-void SyntheticTraffic::run_cycles(Cycle n) {
-  const Cycle end = clock_ + n;
-  const TickMode mode = net_->tick_mode();
-  const bool ffwd =
-      mode == TickMode::Activity && net_->observer() == nullptr;
-  if (shards_ <= 1) {
-    NocObserver* obs = net_->observer();
-    ShardSchedule& sched = *scheds_[0];
-    while (clock_ < end) {
-      const Cycle f = sched.sweep(clock_, mode);
-      if (obs) obs->on_network_cycle(clock_);
-      Cycle next = clock_ + 1;
-      if (ffwd && f > next) next = f;
-      clock_ = next < end ? next : end;
-    }
-  } else if (n > 0) {
-    run_sharded(
-        shards_, clock_, end,
-        [this, mode](int shard, Cycle c) { scheds_[shard]->sweep(c, mode); },
-        [this, ffwd, end](Cycle c) -> Cycle {
-          net_->finish_cycle(c);
-          Cycle next = c + 1;
-          if (ffwd) {
-            Cycle f = kNeverCycle;
-            for (const auto& s : scheds_)
-              if (s->frontier() < f) f = s->frontier();
-            if (f > next) next = f;
-          }
-          if (next > end) next = end;
-          clock_ = next;
-          return next;
-        });
-  }
-}
-
 SyntheticResult SyntheticTraffic::run(Cycle warmup, Cycle measure) {
-  run_cycles(warmup);
+  engine_.run(warmup);
   net_->reset_stats();
-  if (telemetry_) telemetry_->note_stats_reset(clock_);
+  if (telemetry_) telemetry_->note_stats_reset(engine_.now());
   for (NodeState& st : nodes_) st.requests_done = 0;
-  run_cycles(measure);
+  engine_.run(measure);
 
   SyntheticResult r;
   r.offered_load = rate_ * 100.0;

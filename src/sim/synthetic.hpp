@@ -21,6 +21,7 @@
 #include "common/config.hpp"
 #include "common/rng.hpp"
 #include "noc/network.hpp"
+#include "sim/engine.hpp"
 
 namespace rc {
 
@@ -49,8 +50,8 @@ class SyntheticTraffic {
   /// Run warm-up + measurement; returns aggregated metrics.
   SyntheticResult run(Cycle warmup, Cycle measure);
 
-  /// Effective worker-shard count (1 = serial).
-  int shards() const { return shards_; }
+  /// Effective worker-shard count.
+  int shards() const { return engine_.shards(); }
 
   /// Invariant checker attached when RC_CHECK=1, else nullptr.
   Validator* validator() { return validator_.get(); }
@@ -62,8 +63,6 @@ class SyntheticTraffic {
   /// pre-drawn injection schedule put at this cycle. Touches only that
   /// node's state — safe from its shard worker.
   void tick_node(NodeId i, Cycle now);
-  void run_cycles(Cycle n);
-  void build_schedules();
 
   struct NodeState {
     Rng rng;
@@ -112,17 +111,15 @@ class SyntheticTraffic {
   NocConfig cfg_;
   double rate_;
   int service_;
-  int shards_ = 1;
   std::unique_ptr<Network> net_;
   std::unique_ptr<Validator> validator_;
   /// Attached after (destroyed before) the validator — see sim/system.hpp.
   std::unique_ptr<Telemetry> telemetry_;
-  Cycle clock_ = 0;
   std::vector<NodeState> nodes_;
   std::vector<Driver> drivers_;
-  /// One activity-frontier schedule per shard; declared after the driven
+  /// The clock and one schedule per shard; declared after the driven
   /// components so teardown unbinds stamps while they are alive.
-  std::vector<std::unique_ptr<ShardSchedule>> scheds_;
+  Engine engine_;
 };
 
 }  // namespace rc

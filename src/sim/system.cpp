@@ -6,7 +6,6 @@
 
 #include "common/state.hpp"
 #include "cpu/apps.hpp"
-#include "noc/observer.hpp"
 #include "sim/telemetry.hpp"
 #include "sim/validator.hpp"
 
@@ -29,8 +28,6 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
   amap_ = std::make_unique<AddressMap>(&net_->topo(), cfg_.partition_side);
 
   const int n = cfg_.noc.num_nodes();
-  shards_ = effective_shards(cfg_.shards, n);
-  if (shards_ > 1) net_->configure_shards(shard_ranges(n, shards_));
   // Sized once, before any controller captures a pointer; never resized.
   node_sys_stats_.resize(static_cast<std::size_t>(n));
   Rng root(cfg_.seed);
@@ -71,27 +68,20 @@ System::System(const SystemConfig& cfg) : cfg_(cfg) {
 
   net_->set_deliver([this](NodeId node, const MsgPtr& m) { deliver(node, m); });
   net_->set_reply_injected([this](NodeId node, const MsgPtr& m, bool circ) {
-    l2s_[node]->on_reply_injected(m, circ, now_);
+    l2s_[node]->on_reply_injected(m, circ, now());
   });
-  build_schedules();
-}
-
-void System::build_schedules() {
-  const auto& ranges = net_->shard_ranges_of();
-  scheds_.reserve(ranges.size());
-  for (const ShardRange& r : ranges) {
-    auto s = std::make_unique<ShardSchedule>();
+  // Serial per-node tick order within a shard: cores, L1s, L2 banks, MCs;
+  // the engine appends the fabric.
+  engine_.build(*net_, cfg_.shards, [this](ShardSchedule& s,
+                                           const ShardRange& r) {
     for (NodeId i = r.begin; i < r.end; ++i)
       if (i < static_cast<NodeId>(cores_.size()))
-        s->add(cores_[i].get(), "core");
-    for (NodeId i = r.begin; i < r.end; ++i) s->add(l1s_[i].get(), "L1 cache");
-    for (NodeId i = r.begin; i < r.end; ++i) s->add(l2s_[i].get(), "L2 bank");
+        s.add(cores_[i].get(), "core");
+    for (NodeId i = r.begin; i < r.end; ++i) s.add(l1s_[i].get(), "L1 cache");
+    for (NodeId i = r.begin; i < r.end; ++i) s.add(l2s_[i].get(), "L2 bank");
     for (NodeId i = r.begin; i < r.end; ++i)
-      if (mcs_[i]) s->add(mcs_[i].get(), "memory controller");
-    net_->append_schedule(*s, r);
-    s->seal();
-    scheds_.push_back(std::move(s));
-  }
+      if (mcs_[i]) s.add(mcs_[i].get(), "memory controller");
+  });
 }
 
 void System::deliver(NodeId node, const MsgPtr& msg) {
@@ -103,7 +93,7 @@ void System::deliver(NodeId node, const MsgPtr& msg) {
     case MsgType::L1InvAck:
     case MsgType::MemData:
     case MsgType::MemAck:
-      l2s_[node]->handle(msg, now_);
+      l2s_[node]->handle(msg, now());
       break;
     case MsgType::Inv:
     case MsgType::FwdGetS:
@@ -111,66 +101,23 @@ void System::deliver(NodeId node, const MsgPtr& msg) {
     case MsgType::L2Reply:
     case MsgType::L2WbAck:
     case MsgType::L1ToL1:
-      l1s_[node]->handle(msg, now_);
+      l1s_[node]->handle(msg, now());
       break;
     case MsgType::MemRead:
     case MsgType::MemWb:
       RC_ASSERT(mcs_[node] != nullptr, "memory request at non-MC node");
-      mcs_[node]->handle(msg, now_);
+      mcs_[node]->handle(msg, now());
       break;
   }
 }
 
 void System::run_cycles(Cycle n) {
-  const TickMode mode = net_->tick_mode();
-  const Cycle end = now_ + n;
-  // Fast-forward: once every shard's frontier proves nothing can happen
-  // before cycle f, jump the clock straight to f. Legal only when the
-  // scheduler is activity-driven (Verify ticks everything each cycle)
-  // and no observer is attached — the validator's watchdog and the
-  // telemetry sampler both require their per-cycle global scan.
-  const bool ffwd =
-      mode == TickMode::Activity && net_->observer() == nullptr;
-  if (shards_ <= 1) {
-    NocObserver* obs = net_->observer();
-    ShardSchedule& sched = *scheds_[0];
-    while (now_ < end) {
-      const Cycle f = sched.sweep(now_, mode);
-      if (obs) obs->on_network_cycle(now_);
-      Cycle next = now_ + 1;
-      if (ffwd && f > next) next = f;
-      now_ = next < end ? next : end;
-    }
-  } else if (n > 0) {
-    // Each shard sweeps its own schedule (cores, caches, MC, NI, router of
-    // its tiles, in the serial per-node order); cross-shard traffic parks
-    // in the deferred link pipes until the barrier completion flushes it
-    // (finish_cycle). now_ is only written there, with all workers parked,
-    // so controllers reading it mid-cycle always see the current cycle.
-    run_sharded(
-        shards_, now_, end,
-        [this, mode](int shard, Cycle c) { scheds_[shard]->sweep(c, mode); },
-        [this, ffwd, end](Cycle c) -> Cycle {
-          net_->finish_cycle(c);
-          Cycle next = c + 1;
-          if (ffwd) {
-            // Mailbox flushes above may have lowered frontiers — read them
-            // only now, with every worker parked.
-            Cycle f = kNeverCycle;
-            for (const auto& s : scheds_)
-              if (s->frontier() < f) f = s->frontier();
-            if (f > next) next = f;
-          }
-          if (next > end) next = end;
-          now_ = next;
-          return next;
-        });
-  }
+  engine_.run(n);
   // Stall accounting is batched (cores skip ticks while blocked on the
   // memory system); fold everything up to the last simulated cycle in so
   // counters read after any run_cycles block are exact.
-  if (now_ > 0)
-    for (auto& c : cores_) c->flush_stalls(now_ - 1);
+  if (now() > 0)
+    for (auto& c : cores_) c->flush_stalls(now() - 1);
 }
 
 void System::reset_stats() {
@@ -179,7 +126,7 @@ void System::reset_stats() {
   for (auto& c : cores_) c->reset_retired();
   // Mark the reset in the trace so rc-trace can align its default view with
   // the post-warmup aggregate counters.
-  if (telemetry_) telemetry_->note_stats_reset(now_);
+  if (telemetry_) telemetry_->note_stats_reset(now());
 }
 
 StatSet System::merged_sys_stats() const {
@@ -309,7 +256,7 @@ void System::save_state(StateWriter& w) const {
 }
 
 bool System::load_state(StateReader& r, Cycle cycle) {
-  RC_ASSERT(now_ == 0 && !prewarmed_,
+  RC_ASSERT(now() == 0 && !prewarmed_,
             "snapshots load only into a freshly constructed System");
   auto check_count = [&r](const char* what, std::uint64_t have,
                           std::uint64_t want) {
@@ -372,7 +319,7 @@ bool System::load_state(StateReader& r, Cycle cycle) {
     return false;
   }
   prewarmed_ = true;
-  now_ = cycle;
+  engine_.set_now(cycle);
   return r.ok();
 }
 

@@ -14,6 +14,7 @@
 #include "cpu/core.hpp"
 #include "memory/memory_controller.hpp"
 #include "noc/network.hpp"
+#include "sim/engine.hpp"
 
 namespace rc {
 
@@ -42,7 +43,7 @@ class System {
   /// Reset all statistics (end of warm-up).
   void reset_stats();
 
-  Cycle now() const { return now_; }
+  Cycle now() const { return engine_.now(); }
   const SystemConfig& config() const { return cfg_; }
   /// Scheduling mode in effect (config + environment overrides).
   TickMode tick_mode() const { return net_->tick_mode(); }
@@ -52,8 +53,8 @@ class System {
   /// Trace collector attached when RC_TELEMETRY=path, else nullptr.
   Telemetry* telemetry() { return telemetry_.get(); }
   /// Effective worker-shard count (cfg.shards / RC_SHARDS, resolved and
-  /// clamped at construction; 1 = serial tick loop).
-  int shards() const { return shards_; }
+  /// clamped at construction).
+  int shards() const { return engine_.shards(); }
   /// Controller statistics of every node merged in fixed node order
   /// (bit-identical for any shard count). Walks every node's slots — cache
   /// the result rather than calling per cycle.
@@ -80,14 +81,9 @@ class System {
 
  private:
   void deliver(NodeId node, const MsgPtr& msg);
-  /// Build one ShardSchedule per shard (serial per-node tick order: cores,
-  /// L1s, L2 banks, MCs, then the fabric) and seal them. Construction only.
-  void build_schedules();
 
   SystemConfig cfg_;
-  Cycle now_ = 0;
   bool prewarmed_ = false;
-  int shards_ = 1;
   /// Sized to num_nodes before any controller captures a pointer; each
   /// tile's controllers write only their own entry, so shard workers never
   /// share a StatSet.
@@ -104,10 +100,10 @@ class System {
   std::vector<std::unique_ptr<MemoryController>> mcs_;  ///< indexed by node
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<AppProfile> core_profs_;
-  /// One activity-frontier schedule per shard. Declared last: schedules are
-  /// destroyed first and hand the bound wake stamps back to the components
-  /// (~ShardSchedule), which must still be alive.
-  std::vector<std::unique_ptr<ShardSchedule>> scheds_;
+  /// The clock and one activity-frontier schedule per shard. Declared last:
+  /// the schedules are destroyed first and hand the bound wake stamps back
+  /// to the components (~ShardSchedule), which must still be alive.
+  Engine engine_;
 };
 
 }  // namespace rc

@@ -2,23 +2,26 @@
 //  * partitioning math — every node covered exactly once, contiguous,
 //    balanced, degenerate meshes (1xN strips, more shards than nodes),
 //  * RC_SHARDS / SystemConfig::shards resolution,
-//  * run_sharded barrier semantics (per-cycle lockstep, error propagation),
+//  * run_sharded barrier semantics (per-cycle lockstep, error propagation,
+//    the one-shard case on the calling thread),
 //  * MessagePool double-pin / reuse-after-release detection,
 //  * the headline guarantee: bit-identical RunResult statistics (counters,
 //    accumulators, IPC, energy) for 1 vs 2 vs 4 shards on every preset, and
-//    for the synthetic load-sweep driver.
+//    for the synthetic load-sweep driver, and one observer scan per cycle.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/shard.hpp"
 #include "cpu/apps.hpp"
 #include "noc/message.hpp"
 #include "noc/message_pool.hpp"
+#include "noc/observer.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "sim/synthetic.hpp"
@@ -145,6 +148,43 @@ TEST(RunSharded, WorkerExceptionStopsAllShardsAndRethrows) {
 TEST(RunSharded, FinishExceptionPropagates) {
   EXPECT_THROW(run_sharded(
                    2, 0, 10, [](int, Cycle) {},
+                   [](Cycle now) {
+                     if (now == 3) fatal("finish failed");
+                     return now + 1;
+                   }),
+               FatalError);
+}
+
+TEST(RunSharded, OneShardRunsOnCallingThreadAndRethrows) {
+  const std::thread::id caller = std::this_thread::get_id();
+  int bodies = 0, finishes = 0;
+  run_sharded(
+      1, 0, 6,
+      [&](int shard, Cycle) {
+        EXPECT_EQ(shard, 0);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++bodies;
+      },
+      [&](Cycle now) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++finishes;
+        return now + 1;
+      });
+  EXPECT_EQ(bodies, 6);
+  EXPECT_EQ(finishes, 6);
+
+  Cycle last_body = 0;
+  EXPECT_THROW(run_sharded(
+                   1, 0, 100,
+                   [&](int, Cycle now) {
+                     last_body = now;
+                     if (now == 3) fatal("body failed");
+                   },
+                   [](Cycle now) { return now + 1; }),
+               FatalError);
+  EXPECT_EQ(last_body, 3u);  // stopped at the failing cycle
+  EXPECT_THROW(run_sharded(
+                   1, 0, 100, [](int, Cycle) {},
                    [](Cycle now) {
                      if (now == 3) fatal("finish failed");
                      return now + 1;
@@ -296,6 +336,34 @@ TEST(ShardDeterminism, ShardedSystemIsResumable) {
   EXPECT_EQ(serial, run_sliced(4, {1'500}));
   EXPECT_EQ(serial, run_sliced(4, {500, 400, 600}));
   EXPECT_EQ(serial, run_sliced(3, {1'000, 500}));
+}
+
+/// Records every end-of-cycle scan the network fires.
+struct CycleRecorder : NocObserver {
+  std::vector<Cycle> cycles;
+  void on_network_cycle(Cycle now) override { cycles.push_back(now); }
+};
+
+TEST(Engine, ObserverSeesEveryCycleOnceAtAnyShardCount) {
+  // An attached observer turns fast-forward off, so the engine must fire
+  // exactly one scan per cycle, in order, whatever the shard count — and
+  // pick the count back up across run_cycles slices.
+  for (int shards : {1, 2, 4}) {
+    SystemConfig cfg = make_system_config(16, "SlackDelay1_NoAck", "fft", 1);
+    cfg.shards = shards;
+    System sys(cfg);
+    NocObserver* const attached = sys.network().observer();  // RC_CHECK etc.
+    CycleRecorder rec;
+    sys.network().set_observer(&rec);
+    sys.run_cycles(300);
+    sys.run_cycles(200);
+    sys.network().set_observer(attached);
+    const std::string what = "shards=" + std::to_string(shards);
+    EXPECT_EQ(sys.now(), 500u) << what;
+    ASSERT_EQ(rec.cycles.size(), 500u) << what;
+    for (std::size_t i = 0; i < rec.cycles.size(); ++i)
+      ASSERT_EQ(rec.cycles[i], static_cast<Cycle>(i)) << what;
+  }
 }
 
 }  // namespace

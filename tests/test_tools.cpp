@@ -2,7 +2,9 @@
 // (message helpers, presets).
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include "noc/message.hpp"
 #include "sim/experiment.hpp"
@@ -26,6 +28,24 @@ TEST(MessageHelpers, VnetClassification) {
   EXPECT_EQ(vnet_of(MsgType::L2Reply), VNet::Reply);
   EXPECT_EQ(vnet_of(MsgType::MemAck), VNet::Reply);
   EXPECT_EQ(vnet_of(MsgType::L1ToL1), VNet::Reply);
+}
+
+TEST(MessageHelpers, FlitsFollowMessageType) {
+  // Data messages carry a 64B line plus header (5 flits); the rest are
+  // 1-flit control messages.
+  const std::pair<MsgType, int> expected[] = {
+      {MsgType::GetS, 1},      {MsgType::GetX, 1},    {MsgType::WbData, 5},
+      {MsgType::Inv, 1},       {MsgType::FwdGetS, 1}, {MsgType::FwdGetX, 1},
+      {MsgType::MemRead, 1},   {MsgType::MemWb, 5},   {MsgType::L2Reply, 5},
+      {MsgType::L1DataAck, 1}, {MsgType::L2WbAck, 1}, {MsgType::L1InvAck, 1},
+      {MsgType::MemData, 5},   {MsgType::MemAck, 1},  {MsgType::L1ToL1, 5},
+  };
+  ASSERT_EQ(std::size(expected), static_cast<std::size_t>(kNumMsgTypes));
+  for (int i = 0; i < kNumMsgTypes; ++i) {
+    const auto [t, flits] = expected[i];
+    ASSERT_EQ(static_cast<int>(t), i) << "table out of enum order";
+    EXPECT_EQ(flits_of(t), flits) << to_string(t);
+  }
 }
 
 TEST(MessageHelpers, CircuitEligibilityMatchesPaper) {

@@ -35,11 +35,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_file.hpp"
 #include "common/parse.hpp"
 #include "common/shard.hpp"
+#include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "sim/synthetic.hpp"
@@ -97,20 +99,29 @@ Entry bench_loadsweep_big(int side, double rate, Cycle measure, int shards) {
 }
 
 // Mirrors bench_micro_router's BM_LoadedNetworkTick at mesh 8: a raw fabric
-// with one 1-flit request injected every 4th cycle. The injection schedule
-// is pre-generated from one RNG so the offered traffic is identical for any
-// shard count, then each shard injects the messages whose source it owns.
+// with one 1-flit request injected every 4th cycle. The injection plan is
+// pre-generated from one RNG so the offered traffic is identical for any
+// shard count; each node's injector sends the messages it sources.
 Entry bench_micro_router(Cycle cycles, int shards) {
   NocConfig cfg;
   cfg.mesh_w = cfg.mesh_h = 8;
   Network net(cfg);
   net.set_deliver([](NodeId, const MsgPtr&) {});
 
-  struct Inj {
-    Cycle at;
-    MsgPtr msg;
+  struct Injector : Ticker {
+    Network* net = nullptr;
+    std::vector<std::pair<Cycle, MsgPtr>> plan;  ///< (send cycle, message)
+    std::size_t next = 0;
+    void tick(Cycle now) {
+      while (next < plan.size() && plan[next].first == now)
+        net->send(plan[next++].second, now);
+    }
+    Cycle next_work(Cycle) const {
+      return next < plan.size() ? plan[next].first : kNeverCycle;
+    }
   };
-  std::vector<Inj> plan;
+  std::vector<Injector> inj(static_cast<std::size_t>(cfg.num_nodes()));
+  for (Injector& i : inj) i.net = &net;
   Rng rng(7);
   std::uint64_t id = 0;
   for (Cycle c = 0; c < cycles; c += 4) {
@@ -120,41 +131,16 @@ Entry bench_micro_router(Cycle cycles, int shards) {
     m->src = static_cast<NodeId>(rng.next_below(cfg.num_nodes()));
     m->dest = static_cast<NodeId>(rng.next_below(cfg.num_nodes()));
     m->addr = 64 * id;
-    m->size_flits = 1;
-    if (m->src != m->dest) plan.push_back(Inj{c, std::move(m)});
+    m->size_flits = flits_of(m->type);
+    if (m->src != m->dest) inj[m->src].plan.emplace_back(c, std::move(m));
   }
+  Engine engine;
+  engine.build(net, shards, [&inj](ShardSchedule& s, const ShardRange& r) {
+    for (NodeId i = r.begin; i < r.end; ++i) s.add(&inj[i], "injector");
+  });
 
   const double t0 = now_s();
-  if (shards <= 1) {
-    std::size_t next = 0;
-    for (Cycle c = 0; c < cycles; ++c) {
-      while (next < plan.size() && plan[next].at == c)
-        net.send(plan[next++].msg, c);
-      net.tick(c);
-    }
-  } else {
-    const auto ranges = shard_ranges(cfg.num_nodes(), shards);
-    net.configure_shards(ranges);
-    // Per-shard cursors into the shared, read-only plan; each shard only
-    // sends the messages whose source node it owns.
-    std::vector<std::size_t> cursor(ranges.size(), 0);
-    run_sharded(
-        static_cast<int>(ranges.size()), 0, cycles,
-        [&](int shard, Cycle c) {
-          const ShardRange r = ranges[static_cast<std::size_t>(shard)];
-          std::size_t& i = cursor[static_cast<std::size_t>(shard)];
-          while (i < plan.size() && plan[i].at <= c) {
-            if (plan[i].at == c && r.contains(plan[i].msg->src))
-              net.send(plan[i].msg, c);
-            ++i;
-          }
-          net.tick_shard(shard, c);
-        },
-        [&](Cycle c) {
-          net.finish_cycle(c);
-          return c + 1;
-        });
-  }
+  engine.run(cycles);
   const double t1 = now_s();
   return Entry{"micro_router_loaded_8x8", t1 - t0, cycles};
 }
