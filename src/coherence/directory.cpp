@@ -35,7 +35,7 @@ void Directory::save(StateWriter& w) const {
     const Line& l = array_.line(i);
     w.b(array_.valid(i));
     w.u64(array_.tag(i));
-    w.u64(l.last_used);
+    w.u64(array_.stamp(i));
     w.i64(l.meta.owner);
     const auto words = l.meta.sharers.words();
     w.u64(words.size());
@@ -49,17 +49,22 @@ bool Directory::load(StateReader& r) {
   if (n != array_.size())
     return r.fail("directory has " + std::to_string(array_.size()) +
                   " entries, snapshot has " + std::to_string(n));
+  std::vector<Cycle> stamps(array_.size());
   for (std::size_t i = 0; i < array_.size(); ++i) {
     Line& l = array_.line(i);
     bool valid;
     Addr tag;
     std::int64_t owner;
     std::uint64_t nw;
-    if (!(r.b(&valid) && r.u64(&tag) && r.u64(&l.last_used) &&
+    if (!(r.b(&valid) && r.u64(&tag) && r.u64(&stamps[i]) &&
           r.i64(&owner) && r.u64(&nw)))
       return false;
     if (const char* why = array_.restore(i, valid, tag))
       return r.fail("directory entry " + std::to_string(i) + ": " + why);
+    if (owner < kInvalidNode || owner >= nodes_)
+      return r.fail("directory entry " + std::to_string(i) + ": owner " +
+                    std::to_string(owner) + " out of range for " +
+                    std::to_string(nodes_) + " nodes");
     l.meta.owner = static_cast<NodeId>(owner);
     if (nw > (static_cast<std::uint64_t>(nodes_) + 63) / 64)
       return r.fail("directory entry " + std::to_string(i) + ": " +
@@ -70,6 +75,7 @@ bool Directory::load(StateReader& r) {
       if (!r.u64(&x)) return false;
     l.meta.sharers.set_words(words);
   }
+  array_.restore_stamps(stamps);
   return true;
 }
 

@@ -41,10 +41,11 @@ class StateReader;
 class Directory {
  public:
   struct Entry {
-    NodeId owner = kInvalidNode;  ///< M-state holder (at most one)
     SharerSet sharers;            ///< S-state holders, <= pointer_limit()
+    NodeId owner = kInvalidNode;  ///< M-state holder (at most one)
   };
   using Line = CacheArray<Entry>::Line;
+  static_assert(sizeof(Line) == 24, "directory line grew past 24 bytes");
 
   /// Geometry comes from CacheConfig::dir_{sets,ways,pointers}; the index
   /// stride matches the L2 banks' so one bank's entries use all its sets.

@@ -1,6 +1,7 @@
 #include "coherence/l1_cache.hpp"
 
 #include <string>
+#include <vector>
 
 #include "common/state.hpp"
 #include "noc/network.hpp"
@@ -163,7 +164,7 @@ void L1Cache::save(StateWriter& w) const {
   for (std::size_t i = 0; i < array_.size(); ++i) {
     w.b(array_.valid(i));
     w.u64(array_.tag(i));
-    w.u64(array_.line(i).last_used);
+    w.u64(array_.stamp(i));
     w.u8(static_cast<std::uint8_t>(array_.line(i).meta.st));
   }
   w.b(mshr_.active);
@@ -185,20 +186,21 @@ bool L1Cache::load(StateReader& r) {
   if (n != array_.size())
     return r.fail("L1 has " + std::to_string(array_.size()) +
                   " lines, snapshot has " + std::to_string(n));
+  std::vector<Cycle> stamps(array_.size());
   for (std::size_t i = 0; i < array_.size(); ++i) {
     bool valid;
     Addr tag;
     std::uint8_t st;
-    auto& l = array_.line(i);
-    if (!(r.b(&valid) && r.u64(&tag) && r.u64(&l.last_used) && r.u8(&st)))
+    if (!(r.b(&valid) && r.u64(&tag) && r.u64(&stamps[i]) && r.u8(&st)))
       return false;
     if (st > static_cast<std::uint8_t>(L1State::M))
       return r.fail("L1 line state out of range");
     if (const char* why = array_.restore(i, valid, tag))
       return r.fail("L1 of node " + std::to_string(node_) + ", line " +
                     std::to_string(i) + ": " + why);
-    l.meta.st = static_cast<L1State>(st);
+    array_.line(i).meta.st = static_cast<L1State>(st);
   }
+  array_.restore_stamps(stamps);
   if (!(r.b(&mshr_.active) && r.u64(&mshr_.addr) && r.b(&mshr_.is_write) &&
         r.u64(&mshr_.issued) && r.u64(&next_msg_id_) && r.u64(&hit_done_) &&
         r.u64(&n)))

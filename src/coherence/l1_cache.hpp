@@ -69,6 +69,7 @@ class L1Cache : public Ticker {
   };
 
   using Line = CacheArray<LineMeta>::Line;
+  static_assert(sizeof(Line) == 8, "L1 line payload grew past 8 bytes");
 
   void fill(Addr addr, bool exclusive, Cycle now);
   /// A free way for `addr`, evicting the set's LRU line when it is full.

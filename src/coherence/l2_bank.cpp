@@ -634,7 +634,7 @@ void L2Bank::save(StateWriter& w) const {
     w.vu64(i - prev);  // gap from the previous valid index (first: from 0)
     prev = i;
     w.vu64(array_.tag(i) / kLineBytes);
-    w.vu64(l.last_used);
+    w.vu64(array_.stamp(i));
     w.u8(static_cast<std::uint8_t>((l.meta.dirty ? 1 : 0) |
                                    (l.meta.fetching ? 2 : 0)));
     // owner is kInvalidNode (-1) for most lines; +1 keeps the varint short.
@@ -679,6 +679,8 @@ bool L2Bank::load(StateReader& r) {
     return r.fail("snapshot claims " + std::to_string(nvalid) +
                   " valid lines in an L2 bank of " +
                   std::to_string(array_.size()));
+  const int nodes = net_->topo().num_nodes();
+  std::vector<Cycle> stamps(array_.size());
   std::uint64_t idx = 0;
   for (std::uint64_t i = 0; i < nvalid; ++i) {
     std::uint64_t gap, tagline, last_used, owner1, nw;
@@ -693,13 +695,17 @@ bool L2Bank::load(StateReader& r) {
     if (const char* why = array_.restore(idx, true, tagline * kLineBytes))
       return r.fail("L2 bank " + std::to_string(node_) + ", line " +
                     std::to_string(idx) + ": " + why);
+    if (owner1 > static_cast<std::uint64_t>(nodes))
+      return r.fail("L2 bank " + std::to_string(node_) + ", line " +
+                    std::to_string(idx) + ": owner " +
+                    std::to_string(owner1 - 1) + " out of range for " +
+                    std::to_string(nodes) + " nodes");
     Line& l = array_.line(idx);
-    l.last_used = last_used;
+    stamps[idx] = last_used;
     l.meta.dirty = (flags & 1) != 0;
     l.meta.fetching = (flags & 2) != 0;
     l.meta.owner =
-        static_cast<NodeId>(static_cast<std::int64_t>(owner1) - 1);
-    const int nodes = net_->topo().num_nodes();
+        static_cast<std::int16_t>(static_cast<std::int64_t>(owner1) - 1);
     if (nw > (static_cast<std::uint64_t>(nodes) + 63) / 64)
       return r.fail("L2 bank " + std::to_string(node_) + ", line " +
                     std::to_string(idx) + ": " + std::to_string(nw) +
@@ -709,6 +715,7 @@ bool L2Bank::load(StateReader& r) {
       if (!r.vu64(&x)) return false;
     l.meta.sharers.set_words(words);
   }
+  array_.restore_stamps(stamps);
   bool has_dir;
   if (!r.b(&has_dir)) return false;
   if (has_dir != (dir_ != nullptr))

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -66,12 +67,17 @@ class L2Bank : public Ticker {
   bool load(StateReader& r);
 
  private:
+  // Ordered so nothing pads: 16 + 2 + 1 + 1 bytes, and the LRU stamp fills
+  // the last 4 of the line.
   struct LineMeta {
+    SharerSet sharers;
+    std::int16_t owner = kInvalidNode;  ///< any node id; see the assert below
     bool dirty = false;
     bool fetching = false;  ///< MemRead outstanding, data not yet here
-    NodeId owner = kInvalidNode;
-    SharerSet sharers;
   };
+  static_assert(kMaxMeshSide * kMaxMeshSide - 1 <=
+                    std::numeric_limits<std::int16_t>::max(),
+                "the largest node id must fit the 16-bit L2 owner");
   enum class TxnState : std::uint8_t {
     WaitDataAck,  ///< reply sent, line blocked until L1DataAck (or elision)
     WaitInvAcks,  ///< invalidations outstanding for a GetX
@@ -91,7 +97,7 @@ class L2Bank : public Ticker {
   };
   using Line = CacheArray<LineMeta>::Line;
   // A 1 MB bank holds 16K lines: every byte of the payload costs 16 KB.
-  static_assert(sizeof(Line) == 32, "L2 line payload grew past 32 bytes");
+  static_assert(sizeof(Line) == 24, "L2 line payload grew past 24 bytes");
 
   void process_cpu_req(const MsgPtr& msg, Cycle now);
   void process_cpu_req_sparse(const MsgPtr& msg, Cycle now);

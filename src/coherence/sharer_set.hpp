@@ -3,7 +3,7 @@
 // The common case (every shipped preset up to 8x8) fits in one inline word;
 // larger fabrics (16x16, 32x32) spill into an owned, length-prefixed heap
 // array of extra words. The whole set is 16 bytes — one word and one
-// pointer — so an L2 line payload stays at 32 bytes on the full-map
+// pointer — so an L2 line payload stays at 24 bytes on the full-map
 // directory (a std::vector spill would cost 24 bytes, always empty up to
 // 64 nodes). Default construction is the empty set, so CacheArray's
 // `meta = Meta{}` reset on install clears the directory entry as before.

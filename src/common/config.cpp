@@ -87,8 +87,10 @@ std::string SystemConfig::validate() const {
   // constructor itself) divides and mods by them.
   if (noc.mesh_w < 1 || noc.mesh_h < 1)
     return "mesh dimensions must be positive";
-  if (noc.mesh_w > 64 || noc.mesh_h > 64)
-    return "mesh dimensions are capped at 64 (up to 4096 nodes)";
+  if (noc.mesh_w > kMaxMeshSide || noc.mesh_h > kMaxMeshSide)
+    return "mesh dimensions are capped at " + std::to_string(kMaxMeshSide) +
+           " (up to " + std::to_string(kMaxMeshSide * kMaxMeshSide) +
+           " nodes)";
   switch (noc.topology) {
     case TopologyKind::Mesh:
       break;  // degenerate 1xN meshes are legal (and dedup their MCs)

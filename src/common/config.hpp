@@ -108,6 +108,9 @@ struct CircuitConfig {
   }
 };
 
+/// Largest mesh side SystemConfig::validate accepts: up to 4096 nodes.
+inline constexpr int kMaxMeshSide = 64;
+
 /// NoC parameters (paper Table 4).
 /// VC-count limits: the NI tracks outstanding flits in a fixed array of
 /// kMaxVcsPerVn slots per VN, and a router's VA request masks hold one bit

@@ -73,13 +73,13 @@ bool StateReader::u8(std::uint8_t* v) {
   return true;
 }
 bool StateReader::u16(std::uint16_t* v) {
-  std::uint64_t x;
+  std::uint64_t x = 0;
   if (!le(&x, 2)) return false;
   *v = static_cast<std::uint16_t>(x);
   return true;
 }
 bool StateReader::u32(std::uint32_t* v) {
-  std::uint64_t x;
+  std::uint64_t x = 0;
   if (!le(&x, 4)) return false;
   *v = static_cast<std::uint32_t>(x);
   return true;

@@ -90,13 +90,20 @@ bool MessagePool::load(StateReader& r) {
   if (nb != buckets_.size())
     return r.fail("pool has " + std::to_string(buckets_.size()) +
                   " buckets, snapshot has " + std::to_string(nb));
-  for (auto& b : buckets_) {
+  for (std::size_t b = 0; b < buckets_.size(); ++b) {
     std::uint64_t n;
     if (!r.u64(&n)) return false;
     for (std::uint64_t i = 0; i < n; ++i) {
       MsgPtr m;
       if (!load_msg_ref(r, &m)) return false;
       if (!m) return r.fail("null pinned message in pool snapshot");
+      // pin() buckets by source node; a message saved under another node's
+      // bucket is corrupt, and an out-of-range source (negative ones wrap)
+      // would fail pin()'s assertion instead of the load.
+      if (static_cast<std::size_t>(m->src) != b)
+        return r.fail("pool snapshot: message " + std::to_string(m->id) +
+                      " from node " + std::to_string(m->src) +
+                      " saved in the bucket of node " + std::to_string(b));
       pin(m);
     }
   }

@@ -1,9 +1,14 @@
 // Cache-array tests: the packed tag/payload CacheArray against a reference
-// array-of-lines model, plus the snapshot loaders' checks of what the packed
-// tag index relies on (line-aligned tags, each in its own set, no repeats).
+// array-of-lines model (also past 2^32 cycles, where the 4-byte stamps
+// rebase), plus the snapshot loaders' checks of what the packed tag index
+// relies on (line-aligned tags, each in its own set, no repeats) and of
+// restored stamps near and beyond 2^32.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -111,19 +116,32 @@ struct Geometry {
   int sets, ways, stride;
 };
 
+constexpr Cycle kTwo32 = Cycle{1} << 32;
+
+/// The cycle of reference-run operation `op`.
+using Clock = std::function<Cycle(int op)>;
+/// now/2 makes LRU ties.
+Cycle from_zero(int op) { return static_cast<Cycle>(op / 2); }
+
+/// `exact_stamps`: stamps equal the reference's cycles, as they do while no
+/// rebase has happened.
 void expect_same_state(CacheArray<Meta>& arr, RefCacheArray<Meta>& ref,
-                       int op) {
+                       int op, bool exact_stamps) {
   for (std::size_t i = 0; i < arr.size(); ++i) {
     const auto& r = ref.lines()[i];
     ASSERT_EQ(arr.valid(i), r.valid) << "way " << i << " after op " << op;
     // An invalid way keeps its last tag: L1/directory snapshots record it.
     ASSERT_EQ(arr.tag(i), r.tag) << "way " << i << " after op " << op;
-    ASSERT_EQ(arr.line(i).last_used, r.last_used) << "way " << i;
+    if (exact_stamps) {
+      ASSERT_EQ(arr.stamp(i), r.last_used) << "way " << i;
+    }
     ASSERT_EQ(arr.line(i).meta.state, r.meta.state) << "way " << i;
   }
 }
 
-void run_against_reference(const Geometry& g, std::uint64_t seed) {
+void run_against_reference(const Geometry& g, std::uint64_t seed,
+                           const Clock& clock = from_zero,
+                           bool exact_stamps = true) {
   SCOPED_TRACE("geometry " + std::to_string(g.sets) + "x" +
                std::to_string(g.ways) + " stride " + std::to_string(g.stride));
   CacheArray<Meta> arr(g.sets, g.ways, g.stride);
@@ -139,9 +157,9 @@ void run_against_reference(const Geometry& g, std::uint64_t seed) {
 
   const int ops = static_cast<int>(std::max<std::size_t>(4000, 8 * capacity));
   for (int op = 0; op < ops; ++op) {
-    // Offsets inside the line exercise line_addr; now/2 makes LRU ties.
+    // Offsets inside the line exercise line_addr.
     const Addr a = pool[rng() % pool.size()] + rng() % kLineBytes;
-    const Cycle now = static_cast<Cycle>(op / 2);
+    const Cycle now = clock(op);
     ASSERT_EQ(arr.set_of(a), ref.set_of(a));
     auto* l = arr.find(a);
     auto* rl = ref.find(a);
@@ -202,17 +220,48 @@ void run_against_reference(const Geometry& g, std::uint64_t seed) {
         break;
       }
     }
-    if (op % 997 == 0) expect_same_state(arr, ref, op);
+    if (op % 997 == 0) expect_same_state(arr, ref, op, exact_stamps);
   }
-  expect_same_state(arr, ref, ops);
+  expect_same_state(arr, ref, ops, exact_stamps);
 }
 
+const Geometry kGeometries[] = {{1, 1, 1},  {1, 4, 1},   {6, 3, 1},
+                                {8, 2, 1},  {128, 4, 1}, {1024, 16, 64}};
+
 TEST(CacheArrayTest, MatchesArrayOfLinesReference) {
-  const Geometry geometries[] = {{1, 1, 1},   {1, 4, 1},  {6, 3, 1},
-                                 {8, 2, 1},   {128, 4, 1}, {1024, 16, 64}};
   std::uint64_t seed = 1;
-  for (const Geometry& g : geometries) {
+  for (const Geometry& g : kGeometries) {
     run_against_reference(g, seed++);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// The 4-byte stamps rebase once the clock passes 2^32 cycles beyond the
+// array's base; every decision must still match the 64-bit reference. Only
+// the stamp values themselves (ranks after a rebase) may differ.
+TEST(CacheArrayTest, MatchesReferenceAcross2To32Cycles) {
+  std::uint64_t seed = 11;
+  for (const Geometry& g : kGeometries) {
+    run_against_reference(
+        g, seed++, [](int op) { return kTwo32 - 1000 + from_zero(op); },
+        /*exact_stamps=*/false);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(CacheArrayTest, MatchesReferenceAcrossJumpsPast2To32) {
+  std::uint64_t seed = 21;
+  for (const Geometry& g : kGeometries) {
+    // A jump of 1.5 x 2^32 cycles every 64 operations (each jump rebases
+    // the whole array, and cycles truncated to 32 bits would run backwards
+    // every other jump), LRU ties in between.
+    run_against_reference(
+        g, seed++,
+        [](int op) {
+          return from_zero(op) +
+                 static_cast<Cycle>(op / 64) * (3 * (kTwo32 / 2) + 7);
+        },
+        /*exact_stamps=*/false);
     if (HasFatalFailure()) return;
   }
 }
@@ -366,32 +415,90 @@ SystemConfig small_config() {
   return cfg;
 }
 
+/// An L1 section whose valid lines hold `tags` in state S at flat indices
+/// `first`, `first + 1`, ...: line k has stamp `stamp(k)`. Every other way
+/// is invalid with tag 0 and stamp `idle`; the MSHR and outbox are empty.
+std::string l1_section(std::size_t size, std::size_t first,
+                       const std::vector<Addr>& tags,
+                       const std::function<Cycle(int)>& stamp,
+                       Cycle idle = 0) {
+  StateWriter w;
+  w.u64(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    const bool valid = i >= first && i - first < tags.size();
+    w.b(valid);
+    w.u64(valid ? tags[i - first] : 0);
+    w.u64(valid ? stamp(static_cast<int>(i - first)) : idle);
+    w.u8(valid ? 1 : 0);
+  }
+  w.b(false);  // MSHR, message counter, hit timer, empty outbox
+  w.u64(0);
+  w.b(false);
+  w.u64(0);
+  w.u64(0);
+  w.u64(kNeverCycle);
+  w.u64(0);
+  return w.data();
+}
+
+/// An L2 bank section whose valid lines hold `tags` at flat indices
+/// `first`, `first + 1`, ...: line k has stamp `stamp(k)`, owner
+/// `owner1 - 1`, no flags and no sharers; no directory or transactions.
+std::string l2_section(std::size_t size, std::size_t first,
+                       const std::vector<Addr>& tags,
+                       const std::function<Cycle(int)>& stamp,
+                       std::uint64_t owner1 = 0) {
+  StateWriter w;
+  w.u64(size);
+  w.vu64(tags.size());
+  for (std::size_t k = 0; k < tags.size(); ++k) {
+    w.vu64(k == 0 ? first : 1);  // index gap
+    w.vu64(tags[k] / kLineBytes);
+    w.vu64(stamp(static_cast<int>(k)));
+    w.u8(0);  // flags
+    w.vu64(owner1);
+    w.vu64(1);  // one sharer word, empty
+    w.vu64(0);
+  }
+  w.b(false);  // no sparse directory
+  w.u64(0);    // message counter, transactions, retries, outbox
+  w.u64(0);
+  w.u64(0);
+  w.u64(0);
+  return w.data();
+}
+
+/// A directory section whose valid entries hold `tags` at flat indices
+/// `first`, `first + 1`, ...: entry k has stamp `stamp(k)`, owner `owner`
+/// and no sharers. Every other way is invalid with tag 0 and stamp `idle`.
+std::string dir_section(std::size_t size, std::size_t first,
+                        const std::vector<Addr>& tags,
+                        const std::function<Cycle(int)>& stamp,
+                        Cycle idle = 0, NodeId owner = kInvalidNode) {
+  StateWriter w;
+  w.u64(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    const bool valid = i >= first && i - first < tags.size();
+    w.b(valid);
+    w.u64(valid ? tags[i - first] : 0);
+    w.u64(valid ? stamp(static_cast<int>(i - first)) : idle);
+    w.i64(valid ? owner : kInvalidNode);
+    w.u64(1);  // one sharer word, empty
+    w.u64(0);
+  }
+  return w.data();
+}
+
 TEST(CacheArrayLoadTest, L1RejectsTagsThePackedIndexCannotHold) {
   const SystemConfig cfg = small_config();
   const int sets = cfg.cache.l1_sets, ways = cfg.cache.l1_ways;
   for (const LoaderCase& c : kDefects) {
     if (c.defect == Defect::WideSharers) continue;  // an L1 keeps no sharers
     const auto [t0, t1] = planted_tags(c.defect, sets, ways, 1);
-    StateWriter w;
-    const std::size_t n = static_cast<std::size_t>(sets) * ways;
-    w.u64(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool planted = i == static_cast<std::size_t>(ways) ||
-                           i == static_cast<std::size_t>(ways) + 1;
-      w.b(planted);
-      w.u64(!planted ? 0 : i == static_cast<std::size_t>(ways) ? t0 : t1);
-      w.u64(0);
-      w.u8(planted ? 1 : 0);
-    }
-    w.b(false);  // MSHR, message counter, hit timer, empty outbox
-    w.u64(0);
-    w.b(false);
-    w.u64(0);
-    w.u64(0);
-    w.u64(kNeverCycle);
-    w.u64(0);
     System sys(cfg);
-    StateReader r(w.data());
+    StateReader r(l1_section(static_cast<std::size_t>(sets) * ways,
+                             static_cast<std::size_t>(ways), {t0, t1},
+                             [](int) { return Cycle{0}; }));
     if (!c.why) {
       EXPECT_TRUE(sys.l1(3).load(r)) << r.error();
       EXPECT_EQ(sys.l1(3).state_of(t1), L1State::S);
@@ -481,6 +588,231 @@ TEST(CacheArrayLoadTest, DirectoryRejectsTagsThePackedIndexCannotHold) {
                              ": " + c.why),
               std::string::npos)
         << r.error();
+  }
+}
+
+// --------------------------------------------------- restored LRU stamps
+// Each loader gets a section whose set 1 is full, with stamps that straddle
+// 2^32 (the array keeps them exactly, against a nonzero base) or span more
+// than 2^32 (ranked per set). Misses into set 1 then evict the planted lines
+// oldest first, ties by way index, as the 64-bit stamps order them; a line
+// installed after the restore is newer than all of them. Sets hold 4 (L1),
+// 16 (L2) or 8 (directory) ways, all coprime to 7, so w * 7 % ways permutes
+// the ways; halving it gives every stamp a twin.
+
+Cycle straddling_stamp(int w, int ways) {
+  return kTwo32 - static_cast<Cycle>(ways) +
+         4 * static_cast<Cycle>(w * 7 % ways / 2);
+}
+Cycle wide_stamp(int w, int ways) {
+  return static_cast<Cycle>(w * 7 % ways / 2) * (kTwo32 + 3);
+}
+
+struct StampCase {
+  const char* name;
+  Cycle (*stamp)(int w, int ways);
+  bool resaves_exactly;  ///< a ranked (wide) section re-saves other stamps
+};
+const StampCase kStampCases[] = {{"straddling 2^32", straddling_stamp, true},
+                                 {"spanning over 2^32", wide_stamp, false}};
+
+/// Set 1's ways in expected eviction order: by stamp, ties by way index.
+std::vector<int> lru_order(const StampCase& c, int ways) {
+  std::vector<int> order(static_cast<std::size_t>(ways));
+  for (int w = 0; w < ways; ++w) order[static_cast<std::size_t>(w)] = w;
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return c.stamp(a, ways) < c.stamp(b, ways);
+  });
+  return order;
+}
+
+/// A cycle after every planted stamp.
+Cycle after_stamps(const StampCase& c, int ways) {
+  Cycle hi = 0;
+  for (int w = 0; w < ways; ++w) hi = std::max(hi, c.stamp(w, ways));
+  return hi + 1;
+}
+
+/// Of `tags`, the indices whose line `present` reports gone, in index order.
+std::vector<int> evicted(const std::vector<Addr>& tags,
+                         const std::function<bool(Addr)>& present) {
+  std::vector<int> out;
+  for (std::size_t w = 0; w < tags.size(); ++w)
+    if (!present(tags[w])) out.push_back(static_cast<int>(w));
+  return out;
+}
+/// The first `k` of `order`, sorted.
+std::vector<int> first_sorted(const std::vector<int>& order, int k) {
+  std::vector<int> out(order.begin(), order.begin() + k);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(CacheArrayStampTest, L1RestoresStampsPast2To32) {
+  const SystemConfig cfg = small_config();
+  const int sets = cfg.cache.l1_sets, ways = cfg.cache.l1_ways;
+  const auto tags = tags_in_set(sets, ways, 1, 1, 2 * ways);
+  const std::vector<Addr> planted(tags.begin(), tags.begin() + ways);
+  for (const StampCase& c : kStampCases) {
+    SCOPED_TRACE(c.name);
+    // Invalid ways carry a stale stamp inside the straddling window.
+    const std::string section = l1_section(
+        static_cast<std::size_t>(sets) * ways, static_cast<std::size_t>(ways),
+        planted, [&](int way) { return c.stamp(way, ways); },
+        c.stamp(0, ways));
+    System sys(cfg);
+    L1Cache& l1 = sys.l1(3);
+    StateReader r(section);
+    ASSERT_TRUE(l1.load(r)) << r.error();
+    if (c.resaves_exactly) {
+      StateWriter again;
+      l1.save(again);
+      EXPECT_EQ(again.data(), section);
+    }
+    const auto order = lru_order(c, ways);
+    Cycle now = after_stamps(c, ways);
+    for (int k = 0; k < ways; ++k, ++now) {
+      const Addr fresh = tags[static_cast<std::size_t>(ways + k)];
+      ASSERT_TRUE(l1.access(fresh, false, now));
+      auto reply = std::make_shared<Message>();
+      reply->type = MsgType::L2Reply;
+      reply->addr = fresh;
+      reply->ack_elided = true;
+      l1.handle(reply, now);
+      ASSERT_EQ(l1.state_of(fresh), L1State::S);
+      EXPECT_EQ(evicted(planted,
+                        [&](Addr a) { return l1.state_of(a) != L1State::I; }),
+                first_sorted(order, k + 1))
+          << "after miss " << k;
+    }
+  }
+}
+
+TEST(CacheArrayLoadTest, L2RejectsAnOwnerOutsideTheMesh) {
+  // The L2 owner is 16 bits wide: a larger id must fail the load, not wrap.
+  const SystemConfig cfg = small_config();
+  const int sets = cfg.cache.l2_sets, ways = cfg.cache.l2_ways;
+  const int banks = cfg.noc.num_nodes();
+  const auto tags = tags_in_set(sets, ways, banks, 1, 1);
+  const std::size_t size = static_cast<std::size_t>(sets) * ways;
+  for (const std::uint64_t owner1 : {std::uint64_t{16}, std::uint64_t{17},
+                                     std::uint64_t{65536 + 4}}) {
+    System sys(cfg);
+    StateReader r(l2_section(size, static_cast<std::size_t>(ways), tags,
+                             [](int) { return Cycle{0}; }, owner1));
+    if (owner1 <= static_cast<std::uint64_t>(banks)) {
+      EXPECT_TRUE(sys.l2(5).load(r)) << r.error();
+      EXPECT_EQ(sys.l2(5).owner_of(tags[0]),
+                static_cast<NodeId>(owner1) - 1);
+      continue;
+    }
+    EXPECT_FALSE(sys.l2(5).load(r));
+    EXPECT_NE(r.error().find("L2 bank 5, line " + std::to_string(ways) +
+                             ": owner " + std::to_string(owner1 - 1) +
+                             " out of range for 16 nodes"),
+              std::string::npos)
+        << r.error();
+  }
+}
+
+TEST(CacheArrayLoadTest, DirectoryRejectsAnOwnerOutsideTheMesh) {
+  const CacheConfig cfg;
+  const int sets = cfg.dir_sets, ways = cfg.dir_ways, banks = 16;
+  const auto tags = tags_in_set(sets, ways, banks, 1, 1);
+  const std::size_t size = static_cast<std::size_t>(sets) * ways;
+  for (const NodeId owner : {15, 16, -2}) {
+    Directory dir(cfg, banks);
+    StateReader r(dir_section(size, static_cast<std::size_t>(ways), tags,
+                              [](int) { return Cycle{0}; }, 0, owner));
+    if (owner < banks && owner >= kInvalidNode) {
+      EXPECT_TRUE(dir.load(r)) << r.error();
+      EXPECT_EQ(dir.find(tags[0])->meta.owner, owner);
+      continue;
+    }
+    EXPECT_FALSE(dir.load(r));
+    EXPECT_NE(r.error().find("directory entry " + std::to_string(ways) +
+                             ": owner " + std::to_string(owner) +
+                             " out of range for 16 nodes"),
+              std::string::npos)
+        << r.error();
+  }
+}
+
+TEST(CacheArrayStampTest, L2RestoresStampsPast2To32) {
+  const SystemConfig cfg = small_config();
+  const int sets = cfg.cache.l2_sets, ways = cfg.cache.l2_ways;
+  const int banks = cfg.noc.num_nodes();
+  const auto tags = tags_in_set(sets, ways, banks, 1, 2 * ways);
+  const std::vector<Addr> planted(tags.begin(), tags.begin() + ways);
+  for (const StampCase& c : kStampCases) {
+    SCOPED_TRACE(c.name);
+    const std::string section =
+        l2_section(static_cast<std::size_t>(sets) * ways,
+                   static_cast<std::size_t>(ways), planted,
+                   [&](int way) { return c.stamp(way, ways); });
+    System sys(cfg);
+    L2Bank& l2 = sys.l2(5);
+    StateReader r(section);
+    ASSERT_TRUE(l2.load(r)) << r.error();
+    if (c.resaves_exactly) {
+      StateWriter again;
+      l2.save(again);
+      EXPECT_EQ(again.data(), section);
+    }
+    const auto order = lru_order(c, ways);
+    Cycle now = after_stamps(c, ways);
+    for (int k = 0; k < ways; ++k, ++now) {
+      // Each miss evicts a victim and blocks its own fetching line, which
+      // later misses may not evict.
+      auto req = std::make_shared<Message>();
+      req->type = MsgType::GetS;
+      req->src = 3;
+      req->dest = 5;
+      req->addr = tags[static_cast<std::size_t>(ways + k)];
+      l2.handle(req, now);
+      ASSERT_TRUE(l2.has_line(req->addr));
+      EXPECT_EQ(evicted(planted, [&](Addr a) { return l2.has_line(a); }),
+                first_sorted(order, k + 1))
+          << "after miss " << k;
+    }
+  }
+}
+
+TEST(CacheArrayStampTest, DirectoryRestoresStampsPast2To32) {
+  const CacheConfig cfg;
+  const int sets = cfg.dir_sets, ways = cfg.dir_ways, banks = 16;
+  const auto tags = tags_in_set(sets, ways, banks, 1, 2 * ways);
+  for (const StampCase& c : kStampCases) {
+    SCOPED_TRACE(c.name);
+    const std::string section = dir_section(
+        static_cast<std::size_t>(sets) * ways, static_cast<std::size_t>(ways),
+        std::vector<Addr>(tags.begin(), tags.begin() + ways),
+        [&](int way) { return c.stamp(way, ways); }, c.stamp(0, ways));
+    Directory dir(cfg, banks);
+    StateReader r(section);
+    ASSERT_TRUE(dir.load(r)) << r.error();
+    if (c.resaves_exactly) {
+      StateWriter again;
+      dir.save(again);
+      EXPECT_EQ(again.data(), section);
+    }
+    // Touch one planted entry after the restore: it becomes the newest.
+    const auto order = lru_order(c, ways);
+    std::vector<int> expect(order.begin() + 1, order.end());
+    expect.push_back(order.front());
+    Cycle now = after_stamps(c, ways);
+    dir.touch(*dir.find(tags[static_cast<std::size_t>(order.front())]), now);
+    for (int k = 0; k < ways; ++k) {
+      auto* v = dir.victim(tags[0], [](Addr) { return true; });
+      ASSERT_NE(v, nullptr);
+      EXPECT_EQ(dir.tag_of(*v), tags[static_cast<std::size_t>(expect[k])])
+          << "victim " << k;
+      dir.release(*v);
+      // A fresh entry takes the freed way, newer than every planted one.
+      ASSERT_NE(dir.find_or_install(tags[static_cast<std::size_t>(ways + k)],
+                                    ++now),
+                nullptr);
+    }
   }
 }
 

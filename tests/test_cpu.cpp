@@ -157,7 +157,9 @@ TEST(Workload, SharingHeavyConfinesWritesToOwnedHotLines) {
     ++shared;
     const Addr idx = (op.addr - kSharedBase) / kLineBytes;
     EXPECT_LT(idx, 64u);  // contended hot set
-    if (op.is_write) EXPECT_EQ(idx % 16, 5u);  // only lines this node owns
+    if (op.is_write) {
+      EXPECT_EQ(idx % 16, 5u);  // only lines this node owns
+    }
   }
   EXPECT_GT(shared, 5000);
 }

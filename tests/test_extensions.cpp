@@ -59,7 +59,9 @@ TEST(Validate, RejectsOversizedMesh) {
   SystemConfig cfg = make_system_config(64, "Baseline", "fft");
   cfg.noc.mesh_w = 16;
   EXPECT_EQ(cfg.validate(), "");
-  cfg.noc.mesh_w = 65;
+  cfg.noc.mesh_w = kMaxMeshSide;
+  EXPECT_EQ(cfg.validate(), "");
+  cfg.noc.mesh_w = kMaxMeshSide + 1;
   EXPECT_NE(cfg.validate(), "");
   cfg.noc.mesh_w = 0;
   EXPECT_NE(cfg.validate(), "");

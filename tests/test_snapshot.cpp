@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -21,6 +22,8 @@
 #include "common/state.hpp"
 #include "common/stats.hpp"
 #include "gtest/gtest.h"
+#include "noc/message.hpp"
+#include "noc/message_pool.hpp"
 #include "sim/presets.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/system.hpp"
@@ -207,6 +210,38 @@ TEST(SnapshotRejection, FutureFormatVersionIsRefused) {
 TEST(SnapshotRejection, OlderFormatVersionIsRefused) {
   static_assert(kSnapshotVersion > 1, "an older format must exist");
   expect_version_refused(kSnapshotVersion - 1);
+}
+
+// The pool section lists pinned messages by source-node bucket; a message
+// filed under another node's bucket is corrupt and must not be re-pinned.
+TEST(SnapshotRejection, PoolMessageInAnotherNodesBucketIsRefused) {
+  auto m = std::make_shared<Message>();
+  m->id = 42;
+  m->src = 2;
+  m->dest = 0;
+  for (std::uint64_t bucket : {2, 1}) {
+    SCOPED_TRACE("saved in bucket " + std::to_string(bucket));
+    StateWriter w;
+    w.u64(4);
+    for (std::uint64_t b = 0; b < 4; ++b) {
+      w.u64(b == bucket ? 1 : 0);
+      if (b == bucket) save_msg_ref(w, m);
+    }
+    StateReader r(w.data());
+    r.put_shared(m->id, m);
+    MessagePool pool(4);
+    if (bucket == 2) {
+      EXPECT_TRUE(pool.load(r)) << r.error();
+      EXPECT_EQ(pool.pinned(), 1u);
+      continue;
+    }
+    EXPECT_FALSE(pool.load(r));
+    EXPECT_NE(r.error().find("message 42 from node 2 saved in the bucket of "
+                             "node 1"),
+              std::string::npos)
+        << r.error();
+    EXPECT_EQ(pool.pinned(), 0u);
+  }
 }
 
 TEST(SnapshotRejection, ConfigMismatchNamesTheFirstDifferingField) {
