@@ -1,5 +1,8 @@
 #include "common/shard.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -26,6 +29,13 @@ std::vector<ShardRange> shard_ranges(int num_nodes, int shards) {
   return out;
 }
 
+int allowed_cpus() {
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0)
+    return CPU_COUNT(&set);
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 int effective_shards(int configured, int num_nodes) {
   int n = configured;
   if (n <= 0) {
@@ -33,14 +43,12 @@ int effective_shards(int configured, int num_nodes) {
     if (v == nullptr || v[0] == '\0') {
       n = 1;
     } else if (std::strcmp(v, "auto") == 0) {
-      // hardware_concurrency() may legitimately report 0 (unknown) or 1
-      // (single-CPU hosts, restrictive cpusets); both resolve to one shard —
-      // a multi-shard engine on one CPU only adds barrier overhead. More
-      // workers than nodes is equally pointless, so clamp *before* logging
-      // and report the value the run actually uses.
-      const int hw = static_cast<int>(std::thread::hardware_concurrency());
-      n = hw <= 1 ? 1 : hw;
-      if (n > num_nodes) n = num_nodes;
+      // One allowed CPU (taskset, a restrictive cpuset) resolves to one
+      // shard — a multi-shard engine on one CPU only adds barrier overhead.
+      // More workers than nodes is equally pointless, so clamp *before*
+      // logging and report the value the run actually uses.
+      const int cpus = allowed_cpus();
+      n = cpus > num_nodes ? num_nodes : cpus;
       // One-time log of the resolution so runs are reproducible from their
       // logs. Systems may be constructed concurrently under run_many, hence
       // the atomic latch.
@@ -48,8 +56,9 @@ int effective_shards(int configured, int num_nodes) {
       if (!logged.exchange(true, std::memory_order_relaxed))
         std::fprintf(stderr,
                      "rc: RC_SHARDS=auto -> %d shard%s "
-                     "(hardware_concurrency=%d, %d nodes)\n",
-                     n, n == 1 ? "" : "s", hw, num_nodes);
+                     "(%d allowed CPU%s, %d nodes)\n",
+                     n, n == 1 ? "" : "s", cpus, cpus == 1 ? "" : "s",
+                     num_nodes);
     } else {
       n = static_cast<int>(env_positive_ll("RC_SHARDS", 1));
     }

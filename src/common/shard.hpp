@@ -43,10 +43,15 @@ struct ShardRange {
 /// strip slices).
 std::vector<ShardRange> shard_ranges(int num_nodes, int shards);
 
+/// CPUs this process may run on (its sched_getaffinity mask, so taskset and
+/// cpuset limits count), falling back to hardware_concurrency() when the
+/// mask cannot be read. Never less than 1.
+int allowed_cpus();
+
 /// Resolve the shard count for a run. `configured > 0` is an explicit
 /// request (tests pin 1/2/4 this way) and wins; `configured == 0` defers to
-/// the RC_SHARDS environment variable ("auto" = hardware concurrency
-/// clamped to the node count, a positive integer otherwise, unset = 1 = one
+/// the RC_SHARDS environment variable ("auto" = allowed_cpus() clamped
+/// to the node count, a positive integer otherwise, unset = 1 = one
 /// shard on the calling thread). The result is clamped to [1, num_nodes].
 int effective_shards(int configured, int num_nodes);
 

@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <thread>
 
 #include "common/parse.hpp"
+#include "common/shard.hpp"
 #include "cpu/apps.hpp"
 #include "power/energy_model.hpp"
 #include "sim/presets.hpp"
@@ -41,12 +44,22 @@ std::string path_with_tag(const std::string& path, const std::string& tag) {
   return path.substr(0, dot) + "." + tag + path.substr(dot);
 }
 
+bool env_full_runs() {
+  const char* v = std::getenv("RC_FULL");
+  if (v == nullptr || v[0] == '\0' || std::strcmp(v, "0") == 0)
+    return false;
+  if (std::strcmp(v, "1") == 0) return true;
+  std::fprintf(stderr,
+               "rc: environment variable RC_FULL=\"%s\" must be 0 or 1\n", v);
+  std::exit(2);
+}
+
 }  // namespace
 
 RunResult run_config(SystemConfig cfg, const std::string& label) {
   // Fail fast on configurations whose metrics would silently degenerate:
   // IPC divides by measure_cycles * cores, and a NaN/inf there poisons
-  // every downstream mean_speedup without any obvious symptom.
+  // every downstream speedup without any obvious symptom.
   if (cfg.measure_cycles == 0)
     fatal("run_config('" + label + "'): measure_cycles must be > 0");
   if (cfg.noc.num_nodes() <= 0)
@@ -112,9 +125,7 @@ std::vector<RunResult> run_many(const std::vector<SystemConfig>& cfgs,
   RC_ASSERT(cfgs.size() == labels.size(), "one label per configuration");
   if (jobs <= 0) {
     jobs = static_cast<int>(env_positive_ll("RC_JOBS", 0));
-    if (jobs <= 0)
-      jobs = static_cast<int>(std::thread::hardware_concurrency());
-    if (jobs <= 0) jobs = 4;
+    if (jobs <= 0) jobs = allowed_cpus();
   }
   std::vector<RunResult> out(cfgs.size());
   std::atomic<std::size_t> next{0};
@@ -185,20 +196,6 @@ ReplyBreakdown reply_breakdown(const RunResult& r) {
   return b;
 }
 
-double mean_speedup(const std::vector<RunResult>& base,
-                    const std::vector<RunResult>& variant) {
-  RC_ASSERT(base.size() == variant.size() && !base.empty(),
-            "mismatched result sets");
-  double acc = 0;
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    RC_ASSERT(base[i].app == variant[i].app, "result sets must align by app");
-    RC_ASSERT(base[i].ipc > 0,
-              "baseline IPC is zero for app '" + base[i].app + "'");
-    acc += variant[i].ipc / base[i].ipc;
-  }
-  return acc / static_cast<double>(base.size());
-}
-
 Cycle env_measure_cycles(Cycle fallback) {
   return static_cast<Cycle>(
       env_positive_ll("RC_MEASURE_CYCLES", static_cast<long long>(fallback)));
@@ -206,10 +203,6 @@ Cycle env_measure_cycles(Cycle fallback) {
 Cycle env_warmup_cycles(Cycle fallback) {
   return static_cast<Cycle>(
       env_positive_ll("RC_WARMUP_CYCLES", static_cast<long long>(fallback)));
-}
-bool env_full_runs() {
-  const char* v = std::getenv("RC_FULL");
-  return v && v[0] == '1';
 }
 const std::vector<std::string>& bench_apps() {
   return env_full_runs() ? app_names() : app_names_small();

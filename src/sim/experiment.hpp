@@ -3,7 +3,6 @@
 
 #include <string>
 #include <vector>
-#include <vector>
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
@@ -61,7 +60,7 @@ RunResult run_config(SystemConfig cfg, const std::string& label);
 
 /// Run many independent configurations on a pool of `jobs` threads
 /// (simulations share no state; results come back in input order). jobs<=0
-/// uses RC_JOBS or the hardware concurrency. A configuration that fails is
+/// uses RC_JOBS or the allowed CPU count. A configuration that fails is
 /// recorded in its RunResult (failed/error) without tearing down the other
 /// workers; once all threads have joined, the first failure (in input
 /// order) is rethrown as FatalError on the calling thread.
@@ -71,16 +70,12 @@ std::vector<RunResult> run_many(const std::vector<SystemConfig>& cfgs,
 
 ReplyBreakdown reply_breakdown(const RunResult& r);
 
-/// Average of per-app speedups (variant IPC / baseline IPC), given results
-/// keyed identically by app.
-double mean_speedup(const std::vector<RunResult>& base,
-                    const std::vector<RunResult>& variant);
-
 /// Convenience: measured window length scaling via environment.
-/// RC_MEASURE_CYCLES / RC_WARMUP_CYCLES / RC_FULL=1 (full app list).
+/// RC_MEASURE_CYCLES / RC_WARMUP_CYCLES / RC_FULL=1 (full app list). Each
+/// exits 2 naming the knob on a malformed value; RC_FULL accepts only 0
+/// or 1.
 Cycle env_measure_cycles(Cycle fallback);
 Cycle env_warmup_cycles(Cycle fallback);
-bool env_full_runs();
 const std::vector<std::string>& bench_apps();
 
 }  // namespace rc

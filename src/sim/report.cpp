@@ -1,5 +1,6 @@
 #include "sim/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -154,7 +155,7 @@ void print_telemetry_summary(const TraceSummary& s, const std::string& title) {
     if (kk == TelemetryEvent::Kind::StatsReset) continue;
     ev.add_row({to_string(kk), std::to_string(s.kind_counts[k])});
   }
-  ev.print();
+  ev.print_aligned("");
 
   if (s.classified_replies() > 0) {
     Table cat({"reply category", "count", "fraction"});
@@ -164,7 +165,7 @@ void print_telemetry_summary(const TraceSummary& s, const std::string& title) {
       cat.add_row({to_string(cc), std::to_string(s.cat_counts[c]),
                    Table::pct(s.cat_fraction(cc))});
     }
-    cat.print("reply categories (Fig. 6)");
+    cat.print_aligned("reply categories (Fig. 6)");
   }
 
   if (s.have_types) {
@@ -179,7 +180,7 @@ void print_telemetry_summary(const TraceSummary& s, const std::string& title) {
                    std::to_string(s.type_delivered[t]),
                    std::to_string(s.type_on_circuit[t]), Table::pct(rate)});
     }
-    cls.print("circuit use by protocol class");
+    cls.print_aligned("circuit use by protocol class");
   }
 
   Table life({"circuit ending", "count", "mean life", "max life"});
@@ -192,7 +193,7 @@ void print_telemetry_summary(const TraceSummary& s, const std::string& title) {
   life_row("torn down", s.lifetime_torndown);
   life_row("reclaimed (expired)", s.lifetime_reclaimed);
   life.add_row({"leaked / still open", std::to_string(s.leaked), "-", "-"});
-  life.print("circuit lifetimes");
+  life.print_aligned("circuit lifetimes");
 
   std::printf("undo ratio %s   time-to-first-bind mean %s (n=%llu)\n",
               Table::pct(s.undo_ratio()).c_str(),
@@ -213,6 +214,31 @@ void Table::add_row(std::vector<std::string> cells) {
 }
 
 void Table::print(const std::string& title) const {
+  std::vector<std::size_t> w(headers_.size(), 3);  // "---" at the least
+  for (std::size_t i = 0; i < headers_.size(); ++i)
+    w[i] = std::max(w[i], headers_[i].size());
+  for (const auto& r : rows_)
+    for (std::size_t i = 0; i < r.size() && i < w.size(); ++i)
+      w[i] = std::max(w[i], r[i].size());
+
+  std::printf("\n");
+  if (!title.empty()) std::printf("**%s**\n\n", title.c_str());
+  auto line = [&](const std::vector<std::string>& cells) {
+    std::printf("|");
+    for (std::size_t i = 0; i < headers_.size(); ++i) {
+      const std::string& c = i < cells.size() ? cells[i] : "";
+      std::printf(" %-*s |", static_cast<int>(w[i]), c.c_str());
+    }
+    std::printf("\n");
+  };
+  line(headers_);
+  std::printf("|");
+  for (auto x : w) std::printf("%s|", std::string(x + 2, '-').c_str());
+  std::printf("\n");
+  for (const auto& r : rows_) line(r);
+}
+
+void Table::print_aligned(const std::string& title) const {
   std::vector<std::size_t> w(headers_.size(), 0);
   for (std::size_t i = 0; i < headers_.size(); ++i) w[i] = headers_[i].size();
   for (const auto& r : rows_)

@@ -1,5 +1,5 @@
-// Plain-text table rendering for the bench harnesses, and the telemetry
-// trace export (JSONL / CSV) behind RC_TELEMETRY.
+// Markdown table rendering for the tools' reports, and the telemetry trace
+// export (JSONL / CSV) behind RC_TELEMETRY.
 #pragma once
 
 #include <string>
@@ -29,13 +29,20 @@ class Table {
   explicit Table(std::vector<std::string> headers);
 
   void add_row(std::vector<std::string> cells);
-  /// Render with aligned columns to stdout.
+  /// Render to stdout as a padded GitHub-Markdown pipe table, after a blank
+  /// line and, when given, a bold title line.
   void print(const std::string& title = "") const;
 
   static std::string pct(double fraction, int decimals = 1);
   static std::string num(double v, int decimals = 2);
 
  private:
+  /// The telemetry digest's fixed-width layout. The rc_default_identity
+  /// golden pins the digest's bytes, so it keeps this layout.
+  void print_aligned(const std::string& title) const;
+  friend void print_telemetry_summary(const TraceSummary& s,
+                                      const std::string& title);
+
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };

@@ -226,8 +226,8 @@ TEST(Validator, IdleCheckFlagsLeakedUnboundEntry) {
   EXPECT_THROW(sys.validator()->check_idle(sys.now()), FatalError);
 }
 
-// The raw-NoC synthetic driver attaches the checker too (bench_loadsweep
-// inherits self-checking the same way).
+// The raw-NoC synthetic driver attaches the checker too (rc-repro's load
+// sweep inherits self-checking the same way).
 TEST(Validator, SyntheticTrafficAttaches) {
   EnvGuard on("RC_CHECK", "1");
   EnvGuard hang("RC_HANG_CYCLES", nullptr);

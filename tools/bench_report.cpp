@@ -1,7 +1,7 @@
 // bench-report: record the perf trajectory of the simulator.
 //
 // Runs the fixed workload set below (the single-run hot paths behind
-// bench_loadsweep and bench_micro_router, plus one full-system run) with
+// rc-repro's load sweep and bench_micro_router, plus one full-system run) with
 // pinned cycle counts, and emits BENCH_<date>.json next to the current
 // working directory: wall-clock, simulated cycles/sec, shard count and host
 // CPU count per entry. Compare against BENCH_baseline.json (seeded from the
@@ -34,7 +34,6 @@
 #include <ctime>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -313,8 +312,7 @@ int main(int argc, char** argv) {
     }
     return run_compare(argv[2], argv[3], tolerance_pct);
   }
-  const int host_cpus =
-      static_cast<int>(std::thread::hardware_concurrency());
+  const int host_cpus = allowed_cpus();
   // 64-node workloads throughout; with no argv, resolve RC_SHARDS the way
   // the simulation runs do.
   std::vector<int> shard_counts;
