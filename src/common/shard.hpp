@@ -1,6 +1,6 @@
 // Sharded parallel tick engine: mesh partitioning and the per-cycle barrier
 // loop. The Engine (sim/engine.hpp) is its one user: every host — System,
-// SyntheticTraffic, bench-report's micro-router point — runs its cycles
+// SyntheticTraffic, the allocation test's bare mesh — runs its cycles
 // through it, at every shard count including 1.
 //
 // The mesh is split into contiguous tile shards (each tile = core + L1 + L2

@@ -9,8 +9,13 @@
 
 namespace rc {
 
-/// All application names in the paper's evaluation order (21 parallel
-/// applications + "mix").
+/// The paper's application models in its evaluation order: 21 parallel
+/// applications + "mix". The figures average over these (RC_FULL=1).
+const std::vector<std::string>& paper_app_names();
+
+/// Every application model: paper_app_names(), then the two structured
+/// sharing-stress generators (producer_consumer, sharing_heavy) that the
+/// protocol studies, rc-sim --app and sweep specs may name.
 const std::vector<std::string>& app_names();
 
 /// A representative subset used by the fast default bench runs.

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -656,8 +657,8 @@ bool write_manifest(const std::string& out_dir, const char* status,
 
 /// Deterministic aggregates (results.jsonl / results.csv: point order, no
 /// wall-clock fields — resumed and uninterrupted sweeps must be
-/// byte-identical) plus the wall-clock summary.json in bench-report's
-/// format so --compare can gate the sweep.
+/// byte-identical) plus the wall-clock summary.json that --compare gates
+/// the sweep on (see compare_summaries).
 bool write_aggregates(const std::string& out_dir,
                       const std::vector<SweepPoint>& points,
                       const std::vector<std::optional<JournalRecord>>& recs,
@@ -702,8 +703,8 @@ bool write_aggregates(const std::string& out_dir,
                    static_cast<unsigned long long>(p.warmup),
                    static_cast<unsigned long long>(p.cycles), jnum(res, "ipc"),
                    jull(res, "retired"), jnum(res, "energy_per_instr"));
-      // bench-report-compatible entry: names are id-prefixed so they stay
-      // unique and stable across sweeps of the same spec.
+      // Summary row: names are id-prefixed so they stay unique and stable
+      // across sweeps of the same spec.
       const Cycle simulated = p.warmup + p.cycles;
       if (r.wall_s > 0) {
         char line[384];
@@ -1055,6 +1056,94 @@ int run_sweep(const DseOptions& opt, DseOutcome* outcome, std::string* err) {
   }
   if (oc.stopped_early) return 10;
   return (oc.failed + oc.timeout) > 0 ? 3 : 0;
+}
+
+namespace {
+
+struct SummaryRow {
+  std::string name;
+  long long shards = 1;
+  double cycles_per_sec = 0;
+};
+
+/// Read the "results" rows of a summary. The whole file must be one JSON
+/// document, so a truncated or garbage baseline is refused instead of being
+/// compared from whatever part of it happened to parse.
+bool load_summary(const std::string& path, std::vector<SummaryRow>* out,
+                  std::string* err) {
+  std::string text;
+  if (!read_file(path, &text)) return set_err(err, "cannot read " + path);
+  std::string perr;
+  const std::optional<Json> doc = parse_json(text, &perr);
+  if (!doc) return set_err(err, path + ": " + perr);
+  const Json* rows = doc->find("results");
+  if (rows == nullptr || rows->type != Json::Type::Arr)
+    return set_err(err, path + ": not a summary (no \"results\" array)");
+  for (const Json& row : rows->arr) {
+    const Json* name = row.find("name");
+    const Json* shards = row.find("shards");
+    const Json* cps = row.find("cycles_per_sec");
+    if (name == nullptr || name->type != Json::Type::Str ||
+        shards == nullptr || shards->type != Json::Type::Int ||
+        cps == nullptr || !cps->is_num())
+      return set_err(err, path + ": result entry " +
+                              std::to_string(out->size()) +
+                              " lacks a string name, an integer shards or a "
+                              "numeric cycles_per_sec");
+    out->push_back(SummaryRow{name->s, shards->i, cps->d});
+  }
+  if (out->empty()) return set_err(err, path + ": no result entries");
+  return true;
+}
+
+}  // namespace
+
+int compare_summaries(const std::string& baseline, const std::string& current,
+                      std::string* report, std::string* err) {
+  std::vector<SummaryRow> olds, news;
+  if (!load_summary(baseline, &olds, err) ||
+      !load_summary(current, &news, err))
+    return 2;
+  // A drop in simulated cycles/s at the same shard count beyond this is a
+  // regression; anything milder is host noise.
+  constexpr double kTolerance = 0.10;
+  char line[256];
+  std::snprintf(line, sizeof line, "%-28s %7s %12s %12s %9s\n", "benchmark",
+                "shards", "old cyc/s", "new cyc/s", "speedup");
+  std::string out = line;
+  int matched = 0;
+  int regressed = 0;
+  double log_sum = 0;
+  for (const SummaryRow& o : olds) {
+    for (const SummaryRow& n : news) {
+      if (n.name != o.name || n.shards != o.shards) continue;
+      ++matched;
+      const double speedup =
+          o.cycles_per_sec > 0 ? n.cycles_per_sec / o.cycles_per_sec : 0;
+      const bool bad = speedup < 1.0 - kTolerance;
+      regressed += bad;
+      if (speedup > 0) log_sum += std::log(speedup);
+      std::snprintf(line, sizeof line, "%-28s %7lld %12.0f %12.0f %8.2fx%s\n",
+                    o.name.c_str(), o.shards, o.cycles_per_sec,
+                    n.cycles_per_sec, speedup, bad ? "  REGRESSION" : "");
+      out += line;
+      break;
+    }
+  }
+  if (matched == 0) {
+    set_err(err, "no (name, shards) row of " + baseline + " is in " + current);
+    return 2;
+  }
+  std::snprintf(line, sizeof line,
+                "geomean speedup over %d benchmark(s): %.2fx\n", matched,
+                std::exp(log_sum / matched));
+  *report = out + line;
+  if (regressed > 0) {
+    set_err(err, std::to_string(regressed) +
+                     " benchmark(s) regressed by more than 10%");
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace rc

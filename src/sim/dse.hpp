@@ -16,8 +16,8 @@
 // is deterministic (point order, no wall-clock fields in results.jsonl /
 // results.csv), so an interrupted-then-resumed sweep produces byte-identical
 // aggregates to an uninterrupted one; summary.json carries the wall-clock
-// view in bench-report's format so `bench-report --compare` can gate the
-// sweep on perf regressions.
+// view, and compare_summaries (`rc-dse --compare`) gates the sweep on perf
+// regressions against a baseline summary.
 //
 // Split: everything here is library code (unit-tested by tests/test_dse.cpp,
 // including the process runner, against a scripted fake runner); tools/
@@ -174,5 +174,19 @@ struct DseOutcome {
 ///  10  stopped early (max_points) — aggregates cover the completed subset
 ///   2  setup error (bad spec, unusable out dir / runner); *err filled
 int run_sweep(const DseOptions& opt, DseOutcome* outcome, std::string* err);
+
+// ---- the perf gate (rc-dse --compare) -------------------------------------
+
+/// Compare two summary.json files: for every (name, shards) row of
+/// `baseline` that `current` also has, the speedup in cycles_per_sec, then
+/// the geometric mean over the matched rows. The table goes to *report.
+/// Returns:
+///   0  no matched row is more than 10% slower than its baseline
+///   1  at least one is; *err names how many
+///   2  either file is unreadable, truncated or not a summary (no complete
+///      JSON document with a non-empty "results" array of name / shards /
+///      cycles_per_sec rows), or no row matches; *err filled
+int compare_summaries(const std::string& baseline, const std::string& current,
+                      std::string* report, std::string* err);
 
 }  // namespace rc

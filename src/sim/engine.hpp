@@ -1,5 +1,5 @@
 // The cycle loop. Every host that advances a Network — System,
-// SyntheticTraffic, bench-report's micro-router point — owns one Engine,
+// SyntheticTraffic, the allocation test's bare mesh — owns one Engine,
 // which partitions the fabric, builds one ShardSchedule per shard and
 // advances the clock through run_sharded at every shard count, including 1.
 // Each cycle every shard sweeps its schedule; the barrier completion runs

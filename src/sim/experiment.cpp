@@ -205,7 +205,7 @@ Cycle env_warmup_cycles(Cycle fallback) {
       env_positive_ll("RC_WARMUP_CYCLES", static_cast<long long>(fallback)));
 }
 const std::vector<std::string>& bench_apps() {
-  return env_full_runs() ? app_names() : app_names_small();
+  return env_full_runs() ? paper_app_names() : app_names_small();
 }
 
 }  // namespace rc

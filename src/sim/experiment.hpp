@@ -71,7 +71,8 @@ std::vector<RunResult> run_many(const std::vector<SystemConfig>& cfgs,
 ReplyBreakdown reply_breakdown(const RunResult& r);
 
 /// Convenience: measured window length scaling via environment.
-/// RC_MEASURE_CYCLES / RC_WARMUP_CYCLES / RC_FULL=1 (full app list). Each
+/// RC_MEASURE_CYCLES / RC_WARMUP_CYCLES / RC_FULL=1 (bench_apps() is then
+/// the paper's 22 models, else app_names_small()). Each
 /// exits 2 naming the knob on a malformed value; RC_FULL accepts only 0
 /// or 1.
 Cycle env_measure_cycles(Cycle fallback);

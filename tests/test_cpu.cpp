@@ -1,11 +1,14 @@
 // Workload generator and core model tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <set>
 
 #include "cpu/apps.hpp"
 #include "cpu/workload.hpp"
+#include "sim/experiment.hpp"
 
 namespace rc {
 namespace {
@@ -21,6 +24,21 @@ TEST(Apps, AllNamedModels) {
     EXPECT_LE(p.mem_ratio, 1.0);
     EXPECT_GT(p.private_lines, 0u);
   }
+}
+
+TEST(Apps, FullBenchSetIsThePaperModels) {
+  // RC_FULL=1 averages the figures over the paper's 21 parallel apps + mix,
+  // never over the sharing-stress generators.
+  const char* prev = std::getenv("RC_FULL");
+  const std::string saved = prev ? prev : "";
+  setenv("RC_FULL", "1", 1);
+  const std::vector<std::string> full = bench_apps();
+  if (prev) setenv("RC_FULL", saved.c_str(), 1);
+  else unsetenv("RC_FULL");
+  EXPECT_EQ(full.size(), 22u);
+  EXPECT_EQ(full, paper_app_names());
+  for (const char* stress : {"producer_consumer", "sharing_heavy"})
+    EXPECT_EQ(std::count(full.begin(), full.end(), stress), 0) << stress;
 }
 
 TEST(Apps, SmallListIsSubset) {

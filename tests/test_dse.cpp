@@ -500,4 +500,73 @@ TEST(RunSweep, SetupErrorsReturn2) {
   EXPECT_NE(err.find("runner"), std::string::npos);
 }
 
+// ---- the perf gate: compare_summaries (rc-dse --compare) -------------------
+
+/// A one-row summary in the format run_sweep writes.
+std::string summary_with(const std::string& name, double cps) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "{\n  \"results\": [\n    {\"name\": \"%s\", \"shards\": 1, "
+                "\"wall_s\": 1.0, \"cycles\": 1000, \"cycles_per_sec\": %.0f}"
+                "\n  ]\n}\n",
+                name.c_str(), cps);
+  return buf;
+}
+
+TEST(Compare, PassesSpeedupsAndFailsRegressions) {
+  const std::string dir = test_dir("compare");
+  write_file(dir + "/old.json", summary_with("a", 1000));
+  write_file(dir + "/new.json", summary_with("a", 1300));
+  write_file(dir + "/bad.json", summary_with("a", 800));
+  write_file(dir + "/edge.json", summary_with("a", 901));
+  std::string report, err;
+
+  EXPECT_EQ(compare_summaries(dir + "/old.json", dir + "/new.json", &report,
+                              &err), 0) << err;
+  EXPECT_NE(report.find("1.30x"), std::string::npos) << report;
+  EXPECT_NE(report.find("geomean speedup over 1 benchmark(s): 1.30x"),
+            std::string::npos) << report;
+  EXPECT_EQ(report.find("REGRESSION"), std::string::npos) << report;
+
+  // The tolerance is a fixed 10%: 0.80x fails, 0.901x passes.
+  EXPECT_EQ(compare_summaries(dir + "/old.json", dir + "/bad.json", &report,
+                              &err), 1);
+  EXPECT_NE(report.find("REGRESSION"), std::string::npos) << report;
+  EXPECT_NE(err.find("regressed"), std::string::npos) << err;
+  EXPECT_EQ(compare_summaries(dir + "/old.json", dir + "/edge.json", &report,
+                              &err), 0) << err;
+}
+
+TEST(Compare, RejectsTruncatedAndGarbageBaselines) {
+  const std::string dir = test_dir("compare_strict");
+  const std::string good = summary_with("a", 1000);
+  write_file(dir + "/good.json", good);
+  // Cut off mid-record, missing the closing brace, and not a summary.
+  write_file(dir + "/trunc.json", good.substr(0, good.find("\"wall_s\"") + 4));
+  write_file(dir + "/noclose.json", good.substr(0, good.rfind('}')));
+  write_file(dir + "/garbage.json", "not a report\n");
+  write_file(dir + "/norows.json", "{\"results\": []}\n");
+  std::string report, err;
+  for (const char* f : {"trunc", "noclose", "garbage", "norows", "missing"}) {
+    const std::string path = dir + "/" + f + ".json";
+    EXPECT_EQ(compare_summaries(dir + "/good.json", path, &report, &err), 2)
+        << f;
+    EXPECT_NE(err.find(path), std::string::npos) << f << ": " << err;
+    EXPECT_EQ(compare_summaries(path, dir + "/good.json", &report, &err), 2)
+        << f;
+  }
+  EXPECT_EQ(compare_summaries(dir + "/good.json", dir + "/good.json", &report,
+                              &err), 0) << err;
+}
+
+TEST(Compare, NoSharedRowIsAnInputError) {
+  const std::string dir = test_dir("compare_nomatch");
+  write_file(dir + "/a.json", summary_with("a", 1000));
+  write_file(dir + "/b.json", summary_with("b", 1000));
+  std::string report, err;
+  EXPECT_EQ(compare_summaries(dir + "/a.json", dir + "/b.json", &report, &err),
+            2);
+  EXPECT_NE(err.find("no (name, shards) row"), std::string::npos) << err;
+}
+
 }  // namespace

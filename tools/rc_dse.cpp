@@ -17,18 +17,14 @@
 //                          snapshot under --out/snapshots/; results are
 //                          byte-identical either way)
 //     --expand             print the expanded point list and exit
-//     --compare BASELINE   after the sweep, gate on bench-report --compare
-//                          BASELINE summary.json (perf regression check)
-//     --bench-report PATH  bench-report binary for --compare (default: next
-//                          to this executable)
+//     --compare BASELINE   after the sweep, compare summary.json with the
+//                          baseline summary (perf regression check)
 //     --verbose
 //
 // Exit: 0 all points ok; 3 some failed/timed out; 10 stopped early;
-// 2 setup error; on --compare, a regression propagates bench-report's
-// non-zero exit.
-#include <sys/wait.h>
-#include <unistd.h>
-
+// 2 setup error. A failing --compare gate overrides these: 1 when a point
+// ran more than 10% slower than in BASELINE, 2 when BASELINE is unreadable,
+// malformed or shares no point with the sweep.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,7 +43,7 @@ namespace {
                "          [--timeout S] [--max-attempts N] [--backoff S]\n"
                "          [--resume] [--max-points N] [--no-warm-start]\n"
                "          [--expand]\n"
-               "          [--compare BASELINE] [--bench-report PATH]\n"
+               "          [--compare BASELINE]\n"
                "          [--verbose]\n",
                argv0);
   std::exit(2);
@@ -86,24 +82,6 @@ bool read_spec(const std::string& path, std::string* out, std::string* err) {
   return ok;
 }
 
-/// Run `prog compare_args...` and return its exit status (127 on exec
-/// failure). Used for the bench-report regression gate.
-int run_child(const std::string& prog, const std::vector<std::string>& args) {
-  const pid_t pid = ::fork();
-  if (pid < 0) return 127;
-  if (pid == 0) {
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(prog.c_str()));
-    for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-    argv.push_back(nullptr);
-    ::execvp(prog.c_str(), argv.data());
-    ::_exit(127);
-  }
-  int st = 0;
-  if (::waitpid(pid, &st, 0) != pid) return 127;
-  return WIFEXITED(st) ? WEXITSTATUS(st) : 128 + WTERMSIG(st);
-}
-
 double need_double(const char* flag, const char* v) {
   char* end = nullptr;
   const double d = std::strtod(v, &end);
@@ -120,7 +98,6 @@ int main(int argc, char** argv) {
   DseOptions opt;
   std::string spec_path;
   std::string compare_baseline;
-  std::string bench_report = sibling_binary(argv[0], "bench-report");
   opt.runner = sibling_binary(argv[0], "rc-sim");
   bool expand_only = false;
 
@@ -160,8 +137,6 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[i], "--expand")) expand_only = true;
     else if (!std::strcmp(argv[i], "--compare"))
       compare_baseline = need("--compare");
-    else if (!std::strcmp(argv[i], "--bench-report"))
-      bench_report = need("--bench-report");
     else if (!std::strcmp(argv[i], "--verbose")) opt.verbose = true;
     else if (!std::strcmp(argv[i], "--help")) usage(argv[0]);
     else {
@@ -215,12 +190,12 @@ int main(int argc, char** argv) {
                  oc.snapshots, oc.warm_loaded);
 
   if (!compare_baseline.empty() && !oc.stopped_early) {
-    const int crc = run_child(
-        bench_report,
-        {"--compare", compare_baseline, opt.out_dir + "/summary.json"});
+    std::string report;
+    const int crc = compare_summaries(
+        compare_baseline, opt.out_dir + "/summary.json", &report, &err);
+    std::fputs(report.c_str(), stdout);
     if (crc != 0) {
-      std::fprintf(stderr, "[rc-dse] perf gate failed (bench-report exit %d)\n",
-                   crc);
+      std::fprintf(stderr, "[rc-dse] perf gate failed: %s\n", err.c_str());
       return crc;
     }
   }

@@ -349,7 +349,8 @@ void declare_fig8(Runs& r) { r.add_matrix({16, 64}, preset_names_small()); }
 
 void print_fig8(const Runs& runs) {
   for (int cores : {16, 64}) {
-    Table t({"configuration", "normalized energy", "stderr", "paper (64c)"});
+    Table t({"configuration", "normalized energy", "stderr",
+             "paper (" + std::to_string(cores) + "c)"});
     for (const auto& preset : preset_names_small()) {
       if (preset == "Ideal") continue;  // excluded in the paper (Fig. 8)
       Accumulator ratio;
