@@ -30,6 +30,16 @@ long long env_positive_ll(const char* name, long long fallback) {
   return *parsed;
 }
 
+long long flag_ll(const char* flag, const char* v, long long min_v) {
+  const auto parsed = parse_ll(v);
+  if (!parsed || *parsed < min_v) {
+    std::fprintf(stderr, "%s: \"%s\" is not an integer >= %lld\n", flag, v,
+                 min_v);
+    std::exit(2);
+  }
+  return *parsed;
+}
+
 // ---- minimal JSON ---------------------------------------------------------
 
 const Json* Json::find(const std::string& key) const {

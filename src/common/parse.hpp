@@ -21,6 +21,11 @@ std::optional<long long> parse_ll(const char* s);
 /// non-positive value prints a diagnostic to stderr and exits with status 2.
 long long env_positive_ll(const char* name, long long fallback);
 
+/// Checked integer command-line value: all of `v`, at least `min_v`.
+/// Anything else prints `<flag>: "<v>" is not an integer >= <min_v>` and
+/// exits with status 2.
+long long flag_ll(const char* flag, const char* v, long long min_v);
+
 // ---- minimal JSON ---------------------------------------------------------
 //
 // The rc-dse sweep specs are declarative JSON documents (axis lists, scalar

@@ -22,10 +22,7 @@
 #include "common/atomic_file.hpp"
 #include "common/config.hpp"
 #include "common/parse.hpp"
-#include "common/state.hpp"
-#include "cpu/apps.hpp"
 #include "sim/experiment.hpp"
-#include "sim/presets.hpp"
 
 namespace rc {
 
@@ -77,222 +74,24 @@ bool read_file(const std::string& path, std::string* out) {
   return ok;
 }
 
-// ---- axes -----------------------------------------------------------------
-
-struct AxisDef {
-  const char* name;
-  bool is_string;
-};
-
-/// Canonical expansion order: outermost first, cycles innermost (fastest).
-/// warmup and cycles are full axes (lists allowed) — a cycles axis is the
-/// natural shape of a warm-start sweep, where every point repeats one
-/// warm-up and only the measurement length varies.
-constexpr AxisDef kAxes[] = {
-    {"mesh", true},         {"topology", true}, {"mc_placement", true},
-    {"preset", true},       {"app", true},      {"protocol", true},
-    {"dir_pointers", false}, {"dir_sets", false}, {"dir_ways", false},
-    {"circuits", false},    {"slack", false},   {"buf_depth", false},
-    {"vcs_req", false},     {"vcs_rep", false}, {"shards", false},
-    {"seed", false},        {"warmup", false},  {"cycles", false},
-};
-
-std::string* string_axis(SweepPoint* p, const std::string& name) {
-  if (name == "mesh") return &p->mesh;
-  if (name == "topology") return &p->topology;
-  if (name == "mc_placement") return &p->mc_placement;
-  if (name == "preset") return &p->preset;
-  if (name == "app") return &p->app;
-  if (name == "protocol") return &p->protocol;
-  return nullptr;
-}
-
-int* int_axis(SweepPoint* p, const std::string& name) {
-  if (name == "dir_pointers") return &p->dir_pointers;
-  if (name == "dir_sets") return &p->dir_sets;
-  if (name == "dir_ways") return &p->dir_ways;
-  if (name == "circuits") return &p->circuits;
-  if (name == "slack") return &p->slack;
-  if (name == "buf_depth") return &p->buf_depth;
-  if (name == "vcs_req") return &p->vcs_req;
-  if (name == "vcs_rep") return &p->vcs_rep;
-  if (name == "shards") return &p->shards;
-  return nullptr;
-}
-
-/// Apply one axis value (or per-point warmup/cycles/seed) to `p`.
-bool set_axis(SweepPoint* p, const std::string& name, const Json& v,
-              std::string* err) {
-  if (std::string* s = string_axis(p, name)) {
-    if (v.type != Json::Type::Str)
-      return set_err(err, "axis '" + name + "' takes string values");
-    *s = v.s;
-    return true;
-  }
-  if (name == "seed" || name == "warmup" || name == "cycles") {
-    if (v.type != Json::Type::Int || v.i < 0)
-      return set_err(err, "'" + name + "' takes non-negative integers");
-    if (name == "seed")
-      p->seed = static_cast<std::uint64_t>(v.i);
-    else if (name == "warmup")
-      p->warmup = static_cast<Cycle>(v.i);
-    else
-      p->cycles = static_cast<Cycle>(v.i);
-    return true;
-  }
-  if (int* f = int_axis(p, name)) {
-    if (v.type != Json::Type::Int)
-      return set_err(err, "axis '" + name + "' takes integer values");
-    *f = static_cast<int>(v.i);
-    return true;
-  }
-  return set_err(err, "unknown key '" + name + "'");
-}
-
-/// Does the point carry this value on this axis? (exclude matching)
-bool axis_equals(const SweepPoint& p, const std::string& name, const Json& v,
-                 bool* known) {
-  SweepPoint copy = p;  // reuse the field lookups, read-only
-  *known = true;
-  if (const std::string* s = string_axis(&copy, name))
-    return v.type == Json::Type::Str && *s == v.s;
-  if (name == "seed")
-    return v.type == Json::Type::Int &&
-           static_cast<std::uint64_t>(v.i) == p.seed;
-  if (name == "warmup")
-    return v.type == Json::Type::Int &&
-           static_cast<Cycle>(v.i) == p.warmup;
-  if (name == "cycles")
-    return v.type == Json::Type::Int &&
-           static_cast<Cycle>(v.i) == p.cycles;
-  if (const int* f = int_axis(&copy, name))
-    return v.type == Json::Type::Int && static_cast<long long>(*f) == v.i;
-  *known = false;
-  return false;
-}
-
-bool parse_mesh(const std::string& mesh, int* w, int* h) {
-  char extra = 0;
-  return std::sscanf(mesh.c_str(), "%dx%d%c", w, h, &extra) == 2 && *w >= 1 &&
-         *h >= 1;
-}
-
-bool contains(const std::vector<std::string>& v, const std::string& s) {
-  return std::find(v.begin(), v.end(), s) != v.end();
-}
-
-/// Fail fast at spec time: a typo'd preset must be an expansion error, not
-/// a thousand identical subprocess failures.
-bool validate_point(const SweepPoint& p, std::string* err) {
-  int w = 0, h = 0;
-  if (!parse_mesh(p.mesh, &w, &h))
-    return set_err(err, "bad mesh '" + p.mesh + "' (expected WxH)");
-  TopologyKind tk;
-  if (!topology_from_string(p.topology, &tk))
-    return set_err(err, "unknown topology '" + p.topology + "'");
-  McPlacement mp;
-  if (!mc_placement_from_string(p.mc_placement, &mp))
-    return set_err(err, "unknown mc_placement '" + p.mc_placement + "'");
-  Protocol proto;
-  if (!protocol_from_string(p.protocol, &proto))
-    return set_err(err, "unknown protocol '" + p.protocol + "'");
-  if (!contains(preset_names(), p.preset))
-    return set_err(err, "unknown preset '" + p.preset + "'");
-  if (!contains(app_names(), p.app))
-    return set_err(err, "unknown app '" + p.app + "'");
-  if (p.cycles < 1) return set_err(err, "cycles must be >= 1");
-  auto ge = [&](int v, int min_v, const char* name) {
-    if (v != -1 && v < min_v)
-      return set_err(err, std::string(name) + " must be -1 (default) or >= " +
-                              std::to_string(min_v));
-    return true;
-  };
-  return ge(p.circuits, 0, "circuits") && ge(p.slack, 0, "slack") &&
-         ge(p.buf_depth, 1, "buf_depth") && ge(p.vcs_req, 1, "vcs_req") &&
-         ge(p.vcs_rep, 1, "vcs_rep") && ge(p.dir_pointers, 1, "dir_pointers") &&
-         ge(p.dir_sets, 1, "dir_sets") && ge(p.dir_ways, 1, "dir_ways") &&
-         ge(p.shards, 1, "shards");
+/// The record a parsed journal line holds; absent fields keep defaults.
+JournalRecord record_of(const Json& j) {
+  JournalRecord r;
+  const Json* v;
+  if ((v = j.find("id")) && v->type == Json::Type::Int) r.id = v->i;
+  if ((v = j.find("key")) && v->type == Json::Type::Str) r.key = v->s;
+  if ((v = j.find("status")) && v->type == Json::Type::Str) r.status = v->s;
+  if ((v = j.find("attempts")) && v->type == Json::Type::Int)
+    r.attempts = static_cast<int>(v->i);
+  if ((v = j.find("exit")) && v->type == Json::Type::Int)
+    r.exit_code = static_cast<int>(v->i);
+  if ((v = j.find("wall_s")) && v->is_num()) r.wall_s = v->d;
+  if ((v = j.find("maxrss_kb")) && v->type == Json::Type::Int)
+    r.maxrss_kb = v->i;
+  return r;
 }
 
 }  // namespace
-
-std::string point_key(const SweepPoint& p) {
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "mesh=%s topo=%s mc=%s preset=%s app=%s proto=%s dirp=%d dirs=%d "
-      "dirw=%d circ=%d slack=%d depth=%d vcsq=%d vcsr=%d shards=%d "
-      "seed=%llu warmup=%llu cycles=%llu",
-      p.mesh.c_str(), p.topology.c_str(), p.mc_placement.c_str(),
-      p.preset.c_str(), p.app.c_str(), p.protocol.c_str(), p.dir_pointers,
-      p.dir_sets, p.dir_ways, p.circuits, p.slack, p.buf_depth, p.vcs_req,
-      p.vcs_rep, p.shards, static_cast<unsigned long long>(p.seed),
-      static_cast<unsigned long long>(p.warmup),
-      static_cast<unsigned long long>(p.cycles));
-  return buf;
-}
-
-std::string warm_key(const SweepPoint& p) {
-  // point_key minus shards and cycles: exactly the fields that survive into
-  // the snapshot digest's strict subset. Two points with equal warm keys
-  // build SystemConfigs that differ only on relaxed digest fields, so the
-  // leader's end-of-warm-up snapshot loads cleanly into every member.
-  char buf[512];
-  std::snprintf(
-      buf, sizeof buf,
-      "mesh=%s topo=%s mc=%s preset=%s app=%s proto=%s dirp=%d dirs=%d "
-      "dirw=%d circ=%d slack=%d depth=%d vcsq=%d vcsr=%d seed=%llu "
-      "warmup=%llu",
-      p.mesh.c_str(), p.topology.c_str(), p.mc_placement.c_str(),
-      p.preset.c_str(), p.app.c_str(), p.protocol.c_str(), p.dir_pointers,
-      p.dir_sets, p.dir_ways, p.circuits, p.slack, p.buf_depth, p.vcs_req,
-      p.vcs_rep, static_cast<unsigned long long>(p.seed),
-      static_cast<unsigned long long>(p.warmup));
-  return buf;
-}
-
-std::string warm_dir_name(const SweepPoint& p) {
-  const std::string key = warm_key(p);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(
-                    fnv1a(key.data(), key.size())));
-  return buf;
-}
-
-std::vector<std::string> point_args(const SweepPoint& p) {
-  std::vector<std::string> a;
-  auto add = [&](const char* flag, const std::string& v) {
-    a.push_back(flag);
-    a.push_back(v);
-  };
-  // make_system_config accepts the square scaling presets only; any other
-  // node count rides the rc-fuzz idiom (--cores 16 + --mesh override).
-  int w = 0, h = 0;
-  parse_mesh(p.mesh, &w, &h);
-  const int nodes = w * h;
-  const bool square_preset =
-      nodes == 16 || nodes == 64 || nodes == 256 || nodes == 1024;
-  add("--cores", std::to_string(square_preset ? nodes : 16));
-  add("--mesh", p.mesh);
-  add("--topology", p.topology);
-  add("--mc-placement", p.mc_placement);
-  add("--preset", p.preset);
-  add("--app", p.app);
-  add("--protocol", p.protocol);
-  if (p.dir_pointers >= 1) add("--dir-pointers", std::to_string(p.dir_pointers));
-  if (p.dir_sets >= 1) add("--dir-sets", std::to_string(p.dir_sets));
-  if (p.dir_ways >= 1) add("--dir-ways", std::to_string(p.dir_ways));
-  if (p.circuits >= 0) add("--circuits", std::to_string(p.circuits));
-  if (p.slack >= 0) add("--slack", std::to_string(p.slack));
-  if (p.buf_depth >= 1) add("--buf-depth", std::to_string(p.buf_depth));
-  if (p.vcs_req >= 1) add("--vcs-req", std::to_string(p.vcs_req));
-  if (p.vcs_rep >= 1) add("--vcs-rep", std::to_string(p.vcs_rep));
-  add("--seed", std::to_string(p.seed));
-  add("--warmup", std::to_string(p.warmup));
-  add("--cycles", std::to_string(p.cycles));
-  return a;
-}
 
 bool parse_sweep_spec(const std::string& json_text,
                       std::vector<SweepPoint>* out, std::string* err) {
@@ -303,12 +102,13 @@ bool parse_sweep_spec(const std::string& json_text,
   if (doc->type != Json::Type::Obj)
     return set_err(err, "spec must be a JSON object");
 
+  const std::span<const PointAxis> axes = point_axes();
   SweepPoint base;
   const Json* excludes = nullptr;
   const Json* points = nullptr;
-  // Per-axis value lists, in kAxes order; empty = axis not swept (the base
+  // Per-axis value lists, in table order; empty = axis not swept (the base
   // default contributes its single value).
-  std::vector<std::vector<const Json*>> axis_vals(std::size(kAxes));
+  std::vector<std::vector<const Json*>> axis_vals(axes.size());
 
   for (const auto& kv : doc->obj) {
     const std::string& key = kv.first;
@@ -325,19 +125,20 @@ bool parse_sweep_spec(const std::string& json_text,
       points = &v;
       continue;
     }
+    const PointAxis* a = find_point_axis(key);
+    if (a == nullptr) return set_err(err, "unknown spec key '" + key + "'");
     // Scalar warmup/cycles set the base point without counting as swept
     // axes — a pure-"points" spec with scalar run lengths must not summon
     // the grid's default point. Lists sweep them like any other axis.
-    if ((key == "warmup" || key == "cycles") && v.type != Json::Type::Arr) {
-      if (!set_axis(&base, key, v, err)) return false;
+    const auto* count = std::get_if<std::uint64_t SweepPoint::*>(&a->field);
+    if (count && (*count == &SweepPoint::warmup ||
+                  *count == &SweepPoint::cycles) &&
+        v.type != Json::Type::Arr) {
+      if (!set_point_axis(&base, *a, v, err)) return false;
       continue;
     }
     // An axis: scalar or list of scalars.
-    std::size_t ai = std::size(kAxes);
-    for (std::size_t i = 0; i < std::size(kAxes); ++i)
-      if (key == kAxes[i].name) ai = i;
-    if (ai == std::size(kAxes))
-      return set_err(err, "unknown spec key '" + key + "'");
+    const std::size_t ai = static_cast<std::size_t>(a - axes.data());
     if (v.type == Json::Type::Arr) {
       if (v.arr.empty())
         return set_err(err, "axis '" + key + "' has an empty value list");
@@ -349,20 +150,18 @@ bool parse_sweep_spec(const std::string& json_text,
 
   // Parse excludes up front so a bad exclude fails even when no point
   // matches it.
-  std::vector<std::vector<std::pair<std::string, const Json*>>> excl;
+  std::vector<std::vector<std::pair<const PointAxis*, const Json*>>> excl;
   if (excludes) {
     for (const Json& e : excludes->arr) {
       if (e.type != Json::Type::Obj || e.obj.empty())
         return set_err(err, "'exclude' entries must be non-empty objects");
-      std::vector<std::pair<std::string, const Json*>> pairs;
+      std::vector<std::pair<const PointAxis*, const Json*>> pairs;
       for (const auto& kv : e.obj) {
-        SweepPoint probe;
-        bool known = false;
-        axis_equals(probe, kv.first, kv.second, &known);
-        if (!known)
+        const PointAxis* a = find_point_axis(kv.first);
+        if (a == nullptr)
           return set_err(err, "exclude references unknown axis '" + kv.first +
                                   "'");
-        pairs.emplace_back(kv.first, &kv.second);
+        pairs.emplace_back(a, &kv.second);
       }
       excl.push_back(std::move(pairs));
     }
@@ -376,20 +175,19 @@ bool parse_sweep_spec(const std::string& json_text,
   bool any_axis = false;
   for (const auto& vals : axis_vals) any_axis |= !vals.empty();
   const bool expand_grid = any_axis || points == nullptr;
-  std::vector<std::size_t> idx(std::size(kAxes), 0);
+  std::vector<std::size_t> idx(axes.size(), 0);
   while (expand_grid) {
     SweepPoint p = base;
-    for (std::size_t i = 0; i < std::size(kAxes); ++i) {
+    for (std::size_t i = 0; i < axes.size(); ++i) {
       if (axis_vals[i].empty()) continue;
-      if (!set_axis(&p, kAxes[i].name, *axis_vals[i][idx[i]], err))
+      if (!set_point_axis(&p, axes[i], *axis_vals[i][idx[i]], err))
         return false;
     }
     bool dropped = false;
     for (const auto& pairs : excl) {
       bool all = true;
-      for (const auto& [name, val] : pairs) {
-        bool known = false;
-        if (!axis_equals(p, name, *val, &known)) {
+      for (const auto& [axis, val] : pairs) {
+        if (!point_axis_equals(p, *axis, *val)) {
           all = false;
           break;
         }
@@ -407,7 +205,7 @@ bool parse_sweep_spec(const std::string& json_text,
       out->push_back(std::move(p));
     }
     // advance the odometer
-    std::size_t i = std::size(kAxes);
+    std::size_t i = axes.size();
     while (i > 0) {
       --i;
       if (axis_vals[i].empty()) continue;
@@ -416,7 +214,7 @@ bool parse_sweep_spec(const std::string& json_text,
       if (i == 0) break;
     }
     bool done = true;
-    for (std::size_t k = 0; k < std::size(kAxes); ++k)
+    for (std::size_t k = 0; k < axes.size(); ++k)
       if (idx[k] != 0) done = false;
     if (done) break;
   }
@@ -428,8 +226,11 @@ bool parse_sweep_spec(const std::string& json_text,
       if (e.type != Json::Type::Obj)
         return set_err(err, "'points' entries must be objects");
       SweepPoint p = base;
-      for (const auto& kv : e.obj)
-        if (!set_axis(&p, kv.first, kv.second, err)) return false;
+      for (const auto& kv : e.obj) {
+        const PointAxis* a = find_point_axis(kv.first);
+        if (a == nullptr) return set_err(err, "unknown key '" + kv.first + "'");
+        if (!set_point_axis(&p, *a, kv.second, err)) return false;
+      }
       if (!validate_point(p, err)) {
         if (err) *err += " (point " + point_key(p) + ")";
         return false;
@@ -504,18 +305,7 @@ bool load_journal(const std::string& path, std::vector<JournalRecord>* out,
       return set_err(err, "journal '" + path + "' line " +
                               std::to_string(line_no) + " is corrupt: " + jerr);
     }
-    JournalRecord r;
-    const Json* v;
-    if ((v = j->find("id")) && v->type == Json::Type::Int) r.id = v->i;
-    if ((v = j->find("key")) && v->type == Json::Type::Str) r.key = v->s;
-    if ((v = j->find("status")) && v->type == Json::Type::Str) r.status = v->s;
-    if ((v = j->find("attempts")) && v->type == Json::Type::Int)
-      r.attempts = static_cast<int>(v->i);
-    if ((v = j->find("exit")) && v->type == Json::Type::Int)
-      r.exit_code = static_cast<int>(v->i);
-    if ((v = j->find("wall_s")) && v->is_num()) r.wall_s = v->d;
-    if ((v = j->find("maxrss_kb")) && v->type == Json::Type::Int)
-      r.maxrss_kb = v->i;
+    JournalRecord r = record_of(*j);
     if (r.key.empty() || (r.status != "ok" && r.status != "failed" &&
                           r.status != "timeout"))
       return set_err(err, "journal '" + path + "' line " +
@@ -629,13 +419,15 @@ unsigned long long jull(const Json* obj, const char* key) {
              : 0ull;
 }
 
-std::string config_fields(const SweepPoint& p) {
+/// The point's aggregate columns, as JSON members or as CSV values.
+std::string config_fields(const SweepPoint& p, bool json) {
   char buf[512];
   std::snprintf(
       buf, sizeof buf,
-      "\"preset\":\"%s\",\"app\":\"%s\",\"mesh\":\"%s\",\"topology\":\"%s\","
-      "\"mc_placement\":\"%s\",\"protocol\":\"%s\",\"seed\":%llu,"
-      "\"warmup\":%llu,\"cycles\":%llu",
+      json ? "\"preset\":\"%s\",\"app\":\"%s\",\"mesh\":\"%s\","
+             "\"topology\":\"%s\",\"mc_placement\":\"%s\",\"protocol\":\"%s\","
+             "\"seed\":%llu,\"warmup\":%llu,\"cycles\":%llu"
+           : "%s,%s,%s,%s,%s,%s,%llu,%llu,%llu",
       p.preset.c_str(), p.app.c_str(), p.mesh.c_str(), p.topology.c_str(),
       p.mc_placement.c_str(), p.protocol.c_str(),
       static_cast<unsigned long long>(p.seed),
@@ -686,7 +478,8 @@ bool write_aggregates(const std::string& out_dir,
       return set_err(err, "point " + std::to_string(r.id) +
                               " is journaled ok but its result.json is "
                               "missing or corrupt");
-    const std::string cfg = config_fields(p);
+    const std::string cfg = config_fields(p, true);
+    const std::string csv = config_fields(p, false);
     if (res) {
       std::fprintf(jout.stream(),
                    "{\"id\":%lld,\"status\":\"ok\",%s,\"ipc\":%.6f,"
@@ -695,14 +488,9 @@ bool write_aggregates(const std::string& out_dir,
                    r.id, cfg.c_str(), jnum(res, "ipc"), jull(res, "retired"),
                    jnum(res, "energy_per_instr"), jnum(res, "reply_used"),
                    jull(res, "flits_injected"));
-      std::fprintf(cout_.stream(), "%lld,ok,%s,%s,%s,%s,%s,%s,%llu,%llu,%llu,"
-                   "%.6f,%llu,%.6f\n",
-                   r.id, p.preset.c_str(), p.app.c_str(), p.mesh.c_str(),
-                   p.topology.c_str(), p.mc_placement.c_str(),
-                   p.protocol.c_str(), static_cast<unsigned long long>(p.seed),
-                   static_cast<unsigned long long>(p.warmup),
-                   static_cast<unsigned long long>(p.cycles), jnum(res, "ipc"),
-                   jull(res, "retired"), jnum(res, "energy_per_instr"));
+      std::fprintf(cout_.stream(), "%lld,ok,%s,%.6f,%llu,%.6f\n", r.id,
+                   csv.c_str(), jnum(res, "ipc"), jull(res, "retired"),
+                   jnum(res, "energy_per_instr"));
       // Summary row: names are id-prefixed so they stay unique and stable
       // across sweeps of the same spec.
       const Cycle simulated = p.warmup + p.cycles;
@@ -723,13 +511,8 @@ bool write_aggregates(const std::string& out_dir,
     } else {
       std::fprintf(jout.stream(), "{\"id\":%lld,\"status\":\"%s\",%s}\n", r.id,
                    r.status.c_str(), cfg.c_str());
-      std::fprintf(cout_.stream(), "%lld,%s,%s,%s,%s,%s,%s,%s,%llu,%llu,%llu,"
-                   ",,\n",
-                   r.id, r.status.c_str(), p.preset.c_str(), p.app.c_str(),
-                   p.mesh.c_str(), p.topology.c_str(), p.mc_placement.c_str(),
-                   p.protocol.c_str(), static_cast<unsigned long long>(p.seed),
-                   static_cast<unsigned long long>(p.warmup),
-                   static_cast<unsigned long long>(p.cycles));
+      std::fprintf(cout_.stream(), "%lld,%s,%s,,,\n", r.id, r.status.c_str(),
+                   csv.c_str());
     }
   }
   summary += "\n  ]\n}\n";
@@ -892,12 +675,17 @@ int run_sweep(const DseOptions& opt, DseOutcome* outcome, std::string* err) {
     r.exit_code = exit_code;
     r.wall_s = wall;
     r.maxrss_kb = ru.ru_maxrss;
-    if (!append_line_durable(jf, journal_line(r))) {
+    const std::string line = journal_line(r);
+    if (!append_line_durable(jf, line)) {
       std::fprintf(stderr, "[rc-dse] cannot append to journal '%s'\n",
                    journal_path.c_str());
       journal_error = true;
     }
-    final_rec[static_cast<std::size_t>(idx)] = std::move(r);
+    // Keep the record exactly as journaled (wall_s at the line's precision):
+    // a resume reads it back and must rewrite the same summary.json.
+    std::string jerr;
+    final_rec[static_cast<std::size_t>(idx)] =
+        record_of(*parse_json(line, &jerr));
     ++newly_done;
   };
 

@@ -21,7 +21,8 @@
 //
 // Split: everything here is library code (unit-tested by tests/test_dse.cpp,
 // including the process runner, against a scripted fake runner); tools/
-// rc_dse.cpp is the thin CLI.
+// rc_dse.cpp is the thin CLI. The point itself (SweepPoint, its keys and its
+// rc-sim flags) is sim/point.hpp.
 #pragma once
 
 #include <cstdint>
@@ -30,51 +31,11 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "sim/point.hpp"
 
 namespace rc {
 
 struct RunResult;
-
-// ---- sweep points ---------------------------------------------------------
-
-/// One fully specified simulation point. String axes keep their CLI
-/// spelling (they are handed to the runner as rc-sim flags verbatim);
-/// -1 on an integer knob means "runner default, flag omitted".
-struct SweepPoint {
-  std::string mesh = "4x4";
-  std::string topology = "mesh";
-  std::string mc_placement = "edge-middle";
-  std::string preset = "SlackDelay1_NoAck";
-  std::string app = "fft";
-  std::string protocol = "mesi";
-  int dir_pointers = -1;
-  int dir_sets = -1;
-  int dir_ways = -1;
-  int circuits = -1;
-  int slack = -1;
-  int buf_depth = -1;
-  int vcs_req = -1;
-  int vcs_rep = -1;
-  int shards = -1;  ///< exported as RC_SHARDS to the child (no rc-sim flag)
-  std::uint64_t seed = 1;
-  Cycle warmup = 500;
-  Cycle cycles = 2000;
-};
-
-/// Canonical single-line identity of a point: every field, fixed order.
-/// Journal records match on this across resumes, so it must be stable.
-std::string point_key(const SweepPoint& p);
-
-/// point_key minus the warm-up-irrelevant knobs (measurement length and
-/// shard count — the snapshot digest's relaxed fields). Points with equal
-/// warm keys simulate identical warm-up phases and share one end-of-warm-up
-/// snapshot under out/snapshots/<warm_dir_name>/.
-std::string warm_key(const SweepPoint& p);
-std::string warm_dir_name(const SweepPoint& p);  ///< 16-hex FNV-1a of the key
-
-/// rc-sim argument vector for the point (no argv[0], no --point-out; the
-/// runner appends those).
-std::vector<std::string> point_args(const SweepPoint& p);
 
 // ---- spec parsing and expansion -------------------------------------------
 
@@ -95,13 +56,11 @@ std::vector<std::string> point_args(const SweepPoint& p);
 ///     ]
 ///   }
 ///
-/// Axes: mesh, topology, mc_placement, preset, app, protocol, dir_pointers,
-/// dir_sets, dir_ways, circuits, slack, buf_depth, vcs_req, vcs_rep, shards,
-/// seed, warmup, cycles. Expansion is a cross-product in that fixed order
-/// (cycles fastest);
-/// explicit "points" follow in spec order. Unknown keys, unknown axis
-/// values (presets, apps, topology names...) and malformed entries are
-/// errors, not skips. Returns false with *err on any problem.
+/// Axes: the rows of point_axes() (sim/point.hpp). Expansion is a
+/// cross-product in that table's order (cycles fastest); explicit "points"
+/// follow in spec order. Unknown keys, unknown axis values (presets, apps,
+/// topology names...) and malformed entries are errors, not skips
+/// (validate_point). Returns false with *err on any problem.
 bool parse_sweep_spec(const std::string& json_text, std::vector<SweepPoint>* out,
                       std::string* err);
 

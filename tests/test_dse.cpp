@@ -17,7 +17,11 @@
 
 #include "common/atomic_file.hpp"
 #include "common/parse.hpp"
+#include "common/rng.hpp"
+#include "cpu/apps.hpp"
 #include "sim/dse.hpp"
+#include "sim/presets.hpp"
+#include "sim/snapshot.hpp"
 
 using namespace rc;
 
@@ -190,6 +194,7 @@ TEST(SweepSpec, RejectsUnknownKeysAndBadValues) {
   EXPECT_FALSE(parse_sweep_spec("{\"app\": \"no_such_app\"}", &pts, &err));
   EXPECT_FALSE(parse_sweep_spec("{\"mesh\": \"4by4\"}", &pts, &err));
   EXPECT_FALSE(parse_sweep_spec("{\"vcs_req\": 0}", &pts, &err));
+  EXPECT_FALSE(parse_sweep_spec("{\"circuits\": 4294967297}", &pts, &err));
   EXPECT_FALSE(parse_sweep_spec("{\"seed\": [1,", &pts, &err));
   EXPECT_FALSE(parse_sweep_spec(
       "{\"exclude\": [{\"nope\": 1}]}", &pts, &err));
@@ -213,14 +218,126 @@ TEST(SweepSpec, PointKeyIsStableAndArgsFollowRcSimFlags) {
       if (args[i] == flag && args[i + 1] == val) return true;
     return false;
   };
-  EXPECT_TRUE(has("--cores", "64"));  // 8x8 is a scaling preset size
   EXPECT_TRUE(has("--mesh", "8x8"));
+  // the mesh carries the size; rc-sim's --cores is only its square shorthand
+  for (const auto& a : args) EXPECT_NE(a, "--cores");
   EXPECT_TRUE(has("--circuits", "3"));
   EXPECT_TRUE(has("--seed", "5"));
   // shards ride RC_SHARDS in the child environment, not an rc-sim flag
   for (const auto& a : args) EXPECT_NE(a, "--shards");
   // default (-1) knobs are omitted entirely
   for (const auto& a : args) EXPECT_NE(a, "--buf-depth");
+}
+
+// ---- run points -----------------------------------------------------------
+
+TEST(Point, KeysKeepTheBytesEarlierBuildsWrote) {
+  // Journals and warm-start directories written by earlier builds are
+  // matched on these exact bytes.
+  SweepPoint p;
+  p.mesh = "8x4";
+  p.topology = "torus";
+  p.mc_placement = "diagonal";
+  p.preset = "Complete";
+  p.app = "canneal";
+  p.protocol = "sparse-msi";
+  p.dir_pointers = 2;
+  p.dir_sets = 64;
+  p.dir_ways = 4;
+  p.circuits = 3;
+  p.slack = 1;
+  p.buf_depth = 2;
+  p.vcs_req = 2;
+  p.vcs_rep = 3;
+  p.shards = 4;
+  p.seed = 12345;
+  p.warmup = 700;
+  p.cycles = 1900;
+  EXPECT_EQ(point_key(p),
+            "mesh=8x4 topo=torus mc=diagonal preset=Complete app=canneal "
+            "proto=sparse-msi dirp=2 dirs=64 dirw=4 circ=3 slack=1 depth=2 "
+            "vcsq=2 vcsr=3 shards=4 seed=12345 warmup=700 cycles=1900");
+  EXPECT_EQ(warm_key(p),
+            "mesh=8x4 topo=torus mc=diagonal preset=Complete app=canneal "
+            "proto=sparse-msi dirp=2 dirs=64 dirw=4 circ=3 slack=1 depth=2 "
+            "vcsq=2 vcsr=3 seed=12345 warmup=700");
+  EXPECT_EQ(warm_dir_name(p), "cb1d98140220b36f");
+}
+
+TEST(Point, ArgsRoundTripToTheSameConfig) {
+  Rng rng(25);
+  auto pick = [&](const std::vector<std::string>& v) {
+    return v[rng.next_below(v.size())];
+  };
+  auto knob = [&](int min_v) {
+    return rng.chance(0.3) ? -1 : min_v + static_cast<int>(rng.next_below(8));
+  };
+  for (int n = 0; n < 500; ++n) {
+    SweepPoint p;
+    p.mesh = std::to_string(1 + rng.next_below(16)) + "x" +
+             std::to_string(1 + rng.next_below(16));
+    p.topology = pick({"mesh", "torus", "ring", "cmesh"});
+    p.mc_placement = pick({"edge-middle", "corner", "diagonal"});
+    p.preset = pick(preset_names());
+    p.app = pick(app_names());
+    p.protocol = pick({"mesi", "sparse-msi"});
+    p.dir_pointers = knob(1);
+    p.dir_sets = knob(1);
+    p.dir_ways = knob(1);
+    p.circuits = knob(0);
+    p.slack = knob(0);
+    p.buf_depth = knob(1);
+    p.vcs_req = knob(1);
+    p.vcs_rep = knob(1);
+    p.shards = knob(1);
+    p.seed = rng.next_below(1ull << 62);
+    p.warmup = rng.next_below(20'000);
+    p.cycles = 1 + rng.next_below(50'000);
+    std::string err;
+    ASSERT_TRUE(validate_point(p, &err)) << err;
+
+    // Start from rc-sim's own defaults, so every non-default axis has to
+    // arrive through a flag.
+    SweepPoint q;
+    q.mesh = "8x8";
+    q.warmup = 10'000;
+    q.cycles = 30'000;
+    const std::vector<std::string> args = point_args(p);
+    ASSERT_EQ(args.size() % 2, 0u);
+    for (std::size_t i = 0; i < args.size(); i += 2)
+      ASSERT_TRUE(set_point_flag(&q, args[i], args[i + 1], &err)) << err;
+    q.shards = p.shards;  // rides RC_SHARDS in the child, not a flag
+    ASSERT_EQ(point_key(q), point_key(p));
+    ASSERT_EQ(config_digest(point_config(q)), config_digest(point_config(p)))
+        << point_key(p);
+
+    // The spec writer round-trips through rc-dse's parser the same way.
+    std::vector<SweepPoint> pts;
+    ASSERT_TRUE(parse_sweep_spec("{\"points\": [" + point_json(p) + "]}",
+                                 &pts, &err))
+        << err;
+    ASSERT_EQ(pts.size(), 1u);
+    ASSERT_EQ(point_key(pts[0]), point_key(p));
+  }
+}
+
+TEST(Point, FlagsRejectBadNumbersAndValidationNamesBadNames) {
+  SweepPoint p;
+  std::string err;
+  EXPECT_FALSE(set_point_flag(&p, "--circuits", "-1", &err));
+  EXPECT_NE(err.find("--circuits"), std::string::npos);
+  EXPECT_FALSE(set_point_flag(&p, "--cycles", "0", &err));
+  EXPECT_FALSE(set_point_flag(&p, "--seed", "12x", &err));
+  EXPECT_FALSE(is_point_flag("--shards"));  // shards has no rc-sim flag
+  // A knob past int range is refused, not wrapped (4294967297 -> 1).
+  EXPECT_FALSE(set_point_flag(&p, "--circuits", "4294967297", &err));
+  EXPECT_EQ(p.circuits, -1);
+  // The mesh must be canonical WxH: one spelling, one point_key.
+  for (const char* mesh : {"4x4x", "04x4", " 4x4", "+4x4", "4x0"}) {
+    ASSERT_TRUE(set_point_flag(&p, "--mesh", mesh, &err)) << err;
+    EXPECT_FALSE(validate_point(p, &err)) << mesh;
+    EXPECT_NE(err.find(mesh), std::string::npos) << err;
+  }
 }
 
 // ---- journal --------------------------------------------------------------

@@ -109,15 +109,8 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto need_int = [&](const char* flag, long long min_v) -> long long {
-      const char* v = need(flag);
-      auto parsed = parse_ll(v);
-      if (!parsed || *parsed < min_v) {
-        std::fprintf(stderr, "%s: \"%s\" is not an integer >= %lld\n", flag, v,
-                     min_v);
-        std::exit(2);
-      }
-      return *parsed;
+    auto need_int = [&](const char* flag, long long min_v) {
+      return flag_ll(flag, need(flag), min_v);
     };
     if (!std::strcmp(argv[i], "--spec")) spec_path = need("--spec");
     else if (!std::strcmp(argv[i], "--out")) opt.out_dir = need("--out");
