@@ -50,8 +50,8 @@ int effective_shards(int configured, int num_nodes) {
       const int cpus = allowed_cpus();
       n = cpus > num_nodes ? num_nodes : cpus;
       // One-time log of the resolution so runs are reproducible from their
-      // logs. Systems may be constructed concurrently under run_many, hence
-      // the atomic latch.
+      // logs. A caller may construct Systems on several threads at once,
+      // hence the atomic latch.
       static std::atomic<bool> logged{false};
       if (!logged.exchange(true, std::memory_order_relaxed))
         std::fprintf(stderr,

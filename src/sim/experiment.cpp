@@ -1,15 +1,10 @@
 #include "sim/experiment.hpp"
 
-#include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <exception>
-#include <thread>
 
 #include "common/parse.hpp"
-#include "common/shard.hpp"
 #include "cpu/apps.hpp"
 #include "power/energy_model.hpp"
 #include "sim/presets.hpp"
@@ -20,29 +15,6 @@
 namespace rc {
 
 namespace {
-
-/// run_many tags each configuration before calling run_config so that
-/// concurrent runs sharing one RC_TELEMETRY path each get their own file.
-/// Empty (direct run_config / run_one callers) means "use the path as-is".
-thread_local std::string g_telemetry_run_tag;
-
-std::string sanitize_tag(const std::string& s) {
-  std::string out;
-  for (char c : s)
-    out.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c : '-');
-  return out;
-}
-
-/// "trace.jsonl" + tag "Baseline.3" -> "trace.Baseline.3.jsonl"; a path
-/// with no extension just gets the tag appended.
-std::string path_with_tag(const std::string& path, const std::string& tag) {
-  const auto slash = path.find_last_of('/');
-  const auto dot = path.find_last_of('.');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash))
-    return path + "." + tag;
-  return path.substr(0, dot) + "." + tag + path.substr(dot);
-}
 
 bool env_full_runs() {
   const char* v = std::getenv("RC_FULL");
@@ -77,13 +49,8 @@ RunResult run_config(SystemConfig cfg, const std::string& label) {
 RunResult extract_result(System& sys, const std::string& label) {
   const SystemConfig& cfg = sys.config();
   // RC_TELEMETRY: flush the trace while the System is still alive and print
-  // its digest next to the run. Under run_many every run gets a per-run tag
-  // spliced into the shared path (label + input index) — previously all
-  // concurrent runs raced rewrites of one file and which trace survived was
-  // a scheduling accident. The digest line below prints the resolved path.
+  // its digest next to the run.
   if (Telemetry* t = sys.telemetry()) {
-    if (!g_telemetry_run_tag.empty())
-      t->set_path(path_with_tag(t->path(), g_telemetry_run_tag));
     if (t->write())
       // The digest names the resolved shard count (RC_SHARDS=auto and
       // clamping make the configured value an unreliable record): traces
@@ -117,57 +84,6 @@ RunResult run_one(int cores, const std::string& preset, const std::string& app,
   cfg.warmup_cycles = warmup;
   cfg.measure_cycles = measure;
   return run_config(cfg, preset);
-}
-
-std::vector<RunResult> run_many(const std::vector<SystemConfig>& cfgs,
-                                const std::vector<std::string>& labels,
-                                int jobs) {
-  RC_ASSERT(cfgs.size() == labels.size(), "one label per configuration");
-  if (jobs <= 0) {
-    jobs = static_cast<int>(env_positive_ll("RC_JOBS", 0));
-    if (jobs <= 0) jobs = allowed_cpus();
-  }
-  std::vector<RunResult> out(cfgs.size());
-  std::atomic<std::size_t> next{0};
-  // Exceptions (fatal() included) must not escape a worker thread — that
-  // would std::terminate the whole sweep. Record per-config failures and
-  // let the remaining configurations finish.
-  auto worker = [&]() {
-    for (;;) {
-      std::size_t i = next.fetch_add(1);
-      if (i >= cfgs.size()) return;
-      // Label + input index uniquely names this run's telemetry file even
-      // when labels repeat across the sweep.
-      g_telemetry_run_tag = sanitize_tag(labels[i]) + "." + std::to_string(i);
-      try {
-        out[i] = run_config(cfgs[i], labels[i]);
-      } catch (const std::exception& e) {
-        out[i].preset = labels[i];
-        out[i].app = cfgs[i].workload;
-        out[i].failed = true;
-        out[i].error = e.what();
-      }
-      g_telemetry_run_tag.clear();
-    }
-  };
-  std::vector<std::thread> pool;
-  const int n = std::min<int>(jobs, static_cast<int>(cfgs.size()));
-  for (int t = 0; t < n; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  // Report every failed configuration, not just the first — a sweep that
-  // dies on config 3 of 40 would otherwise hide failures 4..40 until the
-  // next rerun.
-  std::size_t failures = 0;
-  std::string detail;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (!out[i].failed) continue;
-    ++failures;
-    detail += "\n  '" + labels[i] + "': " + out[i].error;
-  }
-  if (failures > 0)
-    throw FatalError("run_many: " + std::to_string(failures) +
-                     " configuration(s) failed:" + detail);
-  return out;
 }
 
 ReplyBreakdown reply_breakdown(const RunResult& r) {

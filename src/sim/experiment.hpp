@@ -21,12 +21,6 @@ struct RunResult {
   StatSet net;  ///< network-side counters/accumulators
   StatSet sys;  ///< controller-side counters
   NocConfig noc;
-  /// Set by run_many when this configuration's simulation threw instead of
-  /// completing; `error` carries the message. run_many still rethrows the
-  /// first failure after every worker has joined, so these fields matter to
-  /// callers that catch FatalError and inspect partial sweeps.
-  bool failed = false;
-  std::string error;
 };
 
 /// Fig. 6: fractions of all reply messages (eliminated ACKs count in the
@@ -54,19 +48,10 @@ RunResult run_one(int cores, const std::string& preset, const std::string& app,
                   std::uint64_t seed = 1, Cycle warmup = 20'000,
                   Cycle measure = 100'000);
 
-/// Run an arbitrary (possibly hand-tweaked) configuration; `label` names it
-/// in the result. Used by the ablation benches.
+/// Run an arbitrary (possibly hand-tweaked) configuration in-process;
+/// `label` names it in the result. Batches of configurations go through
+/// run_sweep (sim/dse.hpp), one rc-sim process per point.
 RunResult run_config(SystemConfig cfg, const std::string& label);
-
-/// Run many independent configurations on a pool of `jobs` threads
-/// (simulations share no state; results come back in input order). jobs<=0
-/// uses RC_JOBS or the allowed CPU count. A configuration that fails is
-/// recorded in its RunResult (failed/error) without tearing down the other
-/// workers; once all threads have joined, the first failure (in input
-/// order) is rethrown as FatalError on the calling thread.
-std::vector<RunResult> run_many(const std::vector<SystemConfig>& cfgs,
-                                const std::vector<std::string>& labels,
-                                int jobs = 0);
 
 ReplyBreakdown reply_breakdown(const RunResult& r);
 

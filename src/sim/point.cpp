@@ -34,6 +34,11 @@ constexpr PointAxis kAxes[] = {
     {"buf_depth",    "depth",  "--buf-depth",     &P::buf_depth,    1, true},
     {"vcs_req",      "vcsq",   "--vcs-req",       &P::vcs_req,      1, true},
     {"vcs_rep",      "vcsr",   "--vcs-rep",       &P::vcs_rep,      1, true},
+    // Added after keys were first journaled (omit_default, last column).
+    {"partition", "part", "--partition", &P::partition, 0, true, true},
+    {"no_l1tol1", "nol1l1", "--no-l1tol1", &P::no_l1tol1, 0, true, true},
+    {"undo_on_l2_miss", "undo", "--undo-on-l2-miss", &P::undo_on_l2_miss, 0,
+     true, true},
     {"shards",       "shards", nullptr,           &P::shards,       1, false},
     {"seed",         "seed",   "--seed",          &P::seed,         0, true},
     {"warmup",       "warmup", "--warmup",        &P::warmup,       0, true},
@@ -42,6 +47,7 @@ constexpr PointAxis kAxes[] = {
 
 using NameField = std::string SweepPoint::*;
 using KnobField = int SweepPoint::*;
+using SwitchField = bool SweepPoint::*;
 using CountField = std::uint64_t SweepPoint::*;
 
 bool set_err(std::string* err, const std::string& msg) {
@@ -50,22 +56,25 @@ bool set_err(std::string* err, const std::string& msg) {
 }
 
 /// The axis value as written in point_key and on the command line; empty
-/// for a knob left at its default.
+/// for a knob left at its default or a switch that is off.
 std::string axis_text(const SweepPoint& p, const PointAxis& a) {
   if (const auto* f = std::get_if<NameField>(&a.field)) return p.*(*f);
   if (const auto* f = std::get_if<KnobField>(&a.field))
     return p.*(*f) == -1 ? std::string() : std::to_string(p.*(*f));
+  if (const auto* f = std::get_if<SwitchField>(&a.field))
+    return p.*(*f) ? "1" : "";
   return std::to_string(p.*std::get<CountField>(a.field));
 }
 
 /// "tag=value" for every axis (warm ones only if `warm_only`); defaults
-/// print as -1 so the key names every axis.
+/// print as -1 so the key names every axis, except on omit_default rows.
 std::string key_of(const SweepPoint& p, bool warm_only) {
   std::string key;
   for (const PointAxis& a : kAxes) {
     if (warm_only && !a.warm) continue;
-    if (!key.empty()) key += ' ';
     const std::string v = axis_text(p, a);
+    if (v.empty() && a.omit_default) continue;
+    if (!key.empty()) key += ' ';
     key += std::string(a.tag) + '=' + (v.empty() ? "-1" : v);
   }
   return key;
@@ -98,6 +107,10 @@ bool set_point_axis(SweepPoint* p, const PointAxis& a, const Json& v,
     if (v.type != Json::Type::Int || v.i != static_cast<int>(v.i))
       return set_err(err, "axis '" + key + "' takes int-sized integers");
     p->*(*f) = static_cast<int>(v.i);
+  } else if (const auto* f = std::get_if<SwitchField>(&a.field)) {
+    if (v.type != Json::Type::Bool)
+      return set_err(err, "axis '" + key + "' takes true or false");
+    p->*(*f) = v.b;
   } else {
     if (v.type != Json::Type::Int || v.i < 0)
       return set_err(err, "'" + key + "' takes non-negative integers");
@@ -118,12 +131,22 @@ bool is_point_flag(const std::string& flag) {
   });
 }
 
+bool point_flag_takes_value(const std::string& flag) {
+  return std::any_of(std::begin(kAxes), std::end(kAxes), [&](const auto& a) {
+    return a.flag != nullptr && flag == a.flag &&
+           !std::holds_alternative<SwitchField>(a.field);
+  });
+}
+
 bool set_point_flag(SweepPoint* p, const std::string& flag,
                     const std::string& value, std::string* err) {
   for (const PointAxis& a : kAxes) {
     if (a.flag == nullptr || flag != a.flag) continue;
     Json v;
-    if (std::holds_alternative<NameField>(a.field)) {
+    if (std::holds_alternative<SwitchField>(a.field)) {
+      v.type = Json::Type::Bool;
+      v.b = true;
+    } else if (std::holds_alternative<NameField>(a.field)) {
       if (value.empty()) return set_err(err, flag + " needs a value");
       v.type = Json::Type::Str;
       v.s = value;
@@ -191,7 +214,8 @@ std::vector<std::string> point_args(const SweepPoint& p) {
     std::string v = axis_text(p, a);
     if (a.flag == nullptr || v.empty()) continue;
     args.push_back(a.flag);
-    args.push_back(std::move(v));
+    if (!std::holds_alternative<SwitchField>(a.field))
+      args.push_back(std::move(v));
   }
   return args;
 }
@@ -203,7 +227,9 @@ std::string point_json(const SweepPoint& p) {
     if (v.empty()) continue;
     j += j.empty() ? "{" : ", ";
     const bool name = std::holds_alternative<NameField>(a.field);
-    j += std::string("\"") + a.key + "\": " + (name ? '"' + v + '"' : v);
+    const bool on = std::holds_alternative<SwitchField>(a.field);
+    j += std::string("\"") + a.key + "\": " +
+         (name ? '"' + v + '"' : on ? "true" : v);
   }
   return j + "}";
 }
@@ -224,6 +250,9 @@ SystemConfig point_config(const SweepPoint& p) {
   if (p.buf_depth != -1) cfg.noc.buffer_depth_flits = p.buf_depth;
   if (p.vcs_req != -1) cfg.noc.vcs_request_vn = p.vcs_req;
   if (p.vcs_rep != -1) cfg.noc.vcs_reply_vn = p.vcs_rep;
+  if (p.partition != -1) cfg.partition_side = p.partition;
+  if (p.no_l1tol1) cfg.cache.direct_l1_transfers = false;
+  if (p.undo_on_l2_miss) cfg.noc.circuit.undo_on_l2_miss = true;
   if (p.shards != -1) cfg.shards = p.shards;
   cfg.warmup_cycles = p.warmup;
   cfg.measure_cycles = p.cycles;

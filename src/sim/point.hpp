@@ -18,8 +18,8 @@ namespace rc {
 
 struct Json;
 
-/// String axes keep their CLI spelling; -1 on an int knob means "config
-/// default, flag omitted".
+/// String axes keep their CLI spelling; -1 on an int knob and false on a
+/// switch mean "config default, flag omitted".
 struct SweepPoint {
   std::string mesh = "4x4";
   std::string topology = "mesh";
@@ -35,6 +35,9 @@ struct SweepPoint {
   int buf_depth = -1;
   int vcs_req = -1;
   int vcs_rep = -1;
+  int partition = -1;            ///< partition side; 0 = one monolithic chip
+  bool no_l1tol1 = false;        ///< L2 intermediary instead of L1-to-L1
+  bool undo_on_l2_miss = false;  ///< undo a built circuit on an L2 miss
   int shards = -1;  ///< exported as RC_SHARDS to an rc-sim child (no flag)
   std::uint64_t seed = 1;
   Cycle warmup = 500;
@@ -42,16 +45,20 @@ struct SweepPoint {
 };
 
 /// One axis. The field's type is its kind: a name, an int knob (-1 =
-/// default) or a count (seed and run lengths, always set).
+/// default), a switch (a flag without a value; true in a spec) or a count
+/// (seed and run lengths, always set).
 struct PointAxis {
   const char* key;   ///< sweep-spec key
   const char* tag;   ///< point_key tag
   const char* flag;  ///< rc-sim flag; nullptr = none (shards rides RC_SHARDS)
   std::variant<std::string SweepPoint::*, int SweepPoint::*,
-               std::uint64_t SweepPoint::*>
+               bool SweepPoint::*, std::uint64_t SweepPoint::*>
       field;
   long long min;  ///< smallest legal knob or count
   bool warm;      ///< part of warm_key (shapes the warm-up phase)
+  /// Left out of the keys while at its default: the rows added after keys
+  /// were first journaled, so every earlier point keeps its key bytes.
+  bool omit_default = false;
 };
 
 /// Every axis in canonical order: point_key's, point_args', the spec
@@ -67,8 +74,10 @@ bool set_point_axis(SweepPoint* p, const PointAxis& a, const Json& v,
 bool point_axis_equals(const SweepPoint& p, const PointAxis& a, const Json& v);
 
 /// rc-sim's point flags: numbers must parse whole and be >= the axis
-/// minimum; names are left to validate_point.
+/// minimum; names are left to validate_point. A switch takes no value
+/// (set_point_flag ignores `value`).
 bool is_point_flag(const std::string& flag);
+bool point_flag_takes_value(const std::string& flag);
 bool set_point_flag(SweepPoint* p, const std::string& flag,
                     const std::string& value, std::string* err);
 
@@ -86,8 +95,9 @@ std::string point_key(const SweepPoint& p);
 std::string warm_key(const SweepPoint& p);
 std::string warm_dir_name(const SweepPoint& p);  ///< 16-hex FNV-1a of the key
 
-/// rc-sim's argv for the point (no argv[0]; default knobs and shards left
-/// out), and the point as a sweep-spec "points" entry.
+/// rc-sim's argv for the point (no argv[0]; default knobs, switches that
+/// are off and shards left out), and the point as a sweep-spec "points"
+/// entry.
 std::vector<std::string> point_args(const SweepPoint& p);
 std::string point_json(const SweepPoint& p);
 

@@ -108,10 +108,6 @@ class Telemetry final : public NocObserver {
   ~Telemetry() override;
 
   const std::string& path() const { return path_; }
-  /// Redirect the trace before write() runs. run_many uses this to splice a
-  /// per-run tag into a shared RC_TELEMETRY path so concurrent runs cannot
-  /// clobber each other's file.
-  void set_path(std::string path) { path_ = std::move(path); }
   Cycle sample_every() const { return sample_every_; }
   /// Tag Inject/Deliver events with their MsgType ("t" field). Also forced
   /// on by RC_TELEMETRY_TYPES=1. Call before the first simulated cycle.

@@ -1,7 +1,6 @@
 // Experiment-runner hardening and tick-scheduler equivalence tests:
 //  * checked env/CLI parsing (parse_ll / env_positive_ll),
 //  * run_config input validation (no NaN/inf IPC),
-//  * run_many worker-thread error propagation and sharding determinism,
 //  * Activity tick scheduling producing stats bit-identical to the
 //    RC_VERIFY_TICKS / TickMode::Verify lockstep oracle.
 #include <gtest/gtest.h>
@@ -85,18 +84,6 @@ TEST(ParseDeathTest, GarbageEnvValueExitsNonZero) {
       testing::ExitedWithCode(2), "not a positive integer");
 }
 
-TEST(ParseDeathTest, BadRcJobsExitsNonZeroInsteadOfSilentZero) {
-  // RC_JOBS=garbage used to atoi() to 0 and silently fall back; now it is
-  // rejected before any worker spawns.
-  EXPECT_EXIT(
-      {
-        setenv("RC_JOBS", "many", 1);
-        SystemConfig cfg = small_config("Baseline", TickMode::Activity);
-        run_many({cfg}, {"Baseline"}, /*jobs=*/0);
-      },
-      testing::ExitedWithCode(2), "RC_JOBS");
-}
-
 // ------------------------------------------------------ run_config guards
 
 TEST(RunConfig, RejectsZeroMeasureCycles) {
@@ -110,72 +97,6 @@ TEST(RunConfig, RejectsInvalidMesh) {
   cfg.noc.mesh_w = 0;
   cfg.noc.mesh_h = 0;
   EXPECT_THROW(run_config(cfg, "no-cores"), FatalError);
-}
-
-// ------------------------------------------------------------- run_many
-
-TEST(RunMany, WorkerFailurePropagatesAfterJoin) {
-  // One bad configuration among good ones: the sweep must not
-  // std::terminate; the failure surfaces as FatalError on the caller's
-  // thread after every worker finished.
-  std::vector<SystemConfig> cfgs = {
-      small_config("Baseline", TickMode::Activity),
-      small_config("Baseline", TickMode::Activity),
-  };
-  cfgs[1].measure_cycles = 0;  // poison pill
-  try {
-    run_many(cfgs, {"good", "bad"}, /*jobs=*/2);
-    FAIL() << "run_many should have rethrown the worker failure";
-  } catch (const FatalError& e) {
-    EXPECT_NE(std::string(e.what()).find("'bad'"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(RunMany, ReportsEveryFailedConfiguration) {
-  // Two poison pills among three configs: the error must name both (big
-  // sweeps used to surface only the first failure, hiding correlated
-  // breakage behind reruns).
-  std::vector<SystemConfig> cfgs = {
-      small_config("Baseline", TickMode::Activity),
-      small_config("Baseline", TickMode::Activity),
-      small_config("Baseline", TickMode::Activity),
-  };
-  cfgs[0].measure_cycles = 0;
-  cfgs[2].noc.mesh_w = 0;
-  cfgs[2].noc.mesh_h = 0;
-  try {
-    run_many(cfgs, {"first-bad", "good", "second-bad"}, /*jobs=*/2);
-    FAIL() << "run_many should have rethrown the worker failures";
-  } catch (const FatalError& e) {
-    const std::string w = e.what();
-    EXPECT_NE(w.find("2 configuration(s) failed"), std::string::npos) << w;
-    EXPECT_NE(w.find("'first-bad'"), std::string::npos) << w;
-    EXPECT_NE(w.find("'second-bad'"), std::string::npos) << w;
-    EXPECT_EQ(w.find("'good'"), std::string::npos) << w;
-  }
-}
-
-TEST(RunMany, ShardingIsDeterministic) {
-  std::vector<SystemConfig> cfgs;
-  std::vector<std::string> labels;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    SystemConfig cfg = small_config("Complete_NoAck", TickMode::Activity, seed);
-    cfg.warmup_cycles = 1'000;
-    cfg.measure_cycles = 2'000;
-    cfgs.push_back(cfg);
-    labels.push_back("seed" + std::to_string(seed));
-  }
-  auto serial = run_many(cfgs, labels, /*jobs=*/1);
-  auto sharded = run_many(cfgs, labels, /*jobs=*/8);
-  ASSERT_EQ(serial.size(), sharded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].preset, sharded[i].preset);
-    EXPECT_EQ(serial[i].retired, sharded[i].retired) << labels[i];
-    EXPECT_EQ(serial[i].ipc, sharded[i].ipc) << labels[i];
-    expect_stats_equal(serial[i].net, sharded[i].net, labels[i].c_str());
-    expect_stats_equal(serial[i].sys, sharded[i].sys, labels[i].c_str());
-  }
 }
 
 // ------------------------------------------------- tick-mode equivalence

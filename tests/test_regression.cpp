@@ -34,27 +34,6 @@ TEST(Regression, GoldenCountersUnchanged) {
   EXPECT_EQ(r.net.counter_value("ni_inject_flit"), kGolden.flits);
 }
 
-TEST(Regression, RunManyMatchesSerialRuns) {
-  // The parallel runner must produce bit-identical results to serial runs.
-  std::vector<SystemConfig> cfgs;
-  std::vector<std::string> labels;
-  for (const char* p : {"Baseline", "Complete_NoAck"}) {
-    SystemConfig cfg = make_system_config(16, p, "barnes", 5);
-    cfg.warmup_cycles = 1'000;
-    cfg.measure_cycles = 4'000;
-    cfgs.push_back(cfg);
-    labels.push_back(p);
-  }
-  auto par = run_many(cfgs, labels, 2);
-  for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    RunResult ser = run_config(cfgs[i], labels[i]);
-    EXPECT_EQ(par[i].retired, ser.retired) << labels[i];
-    EXPECT_EQ(par[i].net.counter_value("ni_inject_flit"),
-              ser.net.counter_value("ni_inject_flit"))
-        << labels[i];
-  }
-}
-
 TEST(Regression, FragmentedRetryQueueDoesNotSplitPackets) {
   // Fuzz-found: a flit arriving at a port whose circuit retry queue was
   // non-empty used to be detained unconditionally, even when it had no

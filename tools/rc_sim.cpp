@@ -6,14 +6,14 @@
 // --mc-placement edge-middle|corner|diagonal, --preset NAME|all (default
 // SlackDelay1_NoAck), --app NAME|all (default fft; alias --workload),
 // --protocol mesi|sparse-msi, the overrides --dir-pointers/--dir-sets/
-// --dir-ways/--circuits/--slack/--buf-depth/--vcs-req/--vcs-rep N, and
-// --seed N (1), --warmup N (10000), --cycles N (30000). Every point is
-// checked before anything runs: an unknown name, a malformed mesh, a
-// non-square --cores or a bad number exits 2 naming it.
+// --dir-ways/--circuits/--slack/--buf-depth/--vcs-req/--vcs-rep N,
+// --partition N (partition side, 0 = off), the switches --no-l1tol1 (the
+// L2-intermediary protocol variant) and --undo-on-l2-miss, and --seed N
+// (1), --warmup N (10000), --cycles N (30000). Every point is checked
+// before anything runs: an unknown name, a malformed mesh, a non-square
+// --cores or a bad number exits 2 naming it.
 //
 // rc-sim's own flags:
-//     --partition N       partition side, 0 = off      (default 0)
-//     --no-l1tol1         L2-intermediary protocol variant
 //     --heatmap           print per-router flit counts after the run
 //     --save-state FILE   write a full-system snapshot (default: at the
 //                         end of warm-up, before the stats reset)
@@ -23,8 +23,9 @@
 //                         --cycles, shards and tick mode (a mismatch, or a
 //                         snapshot that fails to load: exit 2)
 //     --csv               machine-readable one-line-per-run output
-//     --point-out FILE    single-point mode for rc-dse: write the run result
-//                         as one JSON line to FILE (atomic rename)
+//     --point-out FILE    single-point mode for rc-dse: write the run result,
+//                         whole StatSets included, as one JSON line to FILE
+//                         (atomic rename)
 //     --list              list presets and workloads, then exit
 #include <chrono>
 #include <cstdio>
@@ -50,8 +51,6 @@ namespace {
 
 /// rc-sim's own flags beside the run point.
 struct Options {
-  int partition = 0;
-  bool no_l1tol1 = false;
   bool csv = false;
   bool heatmap = false;
   std::string point_out;  ///< rc-dse subprocess mode: machine-readable result
@@ -68,9 +67,10 @@ struct Options {
                "  [--mc-placement edge-middle|corner|diagonal] [--dir-sets N]\n"
                "  [--dir-ways N] [--circuits N] [--slack N] [--buf-depth N]\n"
                "  [--vcs-req N] [--vcs-rep N] [--seed N] [--warmup N]\n"
-               "  [--cycles N] [--partition N] [--no-l1tol1] [--heatmap]\n"
-               "  [--csv] [--point-out FILE] [--save-state FILE] [--list]\n"
-               "  [--save-at N] [--load-state FILE]\n",
+               "  [--cycles N] [--partition N] [--no-l1tol1]\n"
+               "  [--undo-on-l2-miss] [--heatmap] [--csv] [--point-out FILE]\n"
+               "  [--save-state FILE] [--save-at N] [--load-state FILE]\n"
+               "  [--list]\n",
                argv0);
   std::exit(2);
 }
@@ -101,9 +101,7 @@ void print_heatmap(System& sys) {
 }
 
 RunResult run(const Options& o, const SweepPoint& p) {
-  SystemConfig cfg = point_config(p);
-  cfg.partition_side = o.partition;
-  cfg.cache.direct_l1_transfers = !o.no_l1tol1;
+  const SystemConfig cfg = point_config(p);
   std::string err = cfg.validate();
   if (!err.empty()) {
     std::fprintf(stderr, "invalid configuration: %s\n", err.c_str());
@@ -268,7 +266,8 @@ int main(int argc, char** argv) {
     };
     const char* arg = argv[i];
     if (is_point_flag(arg)) {
-      if (!set_point_flag(&p, arg, need(arg), &err)) fail(err);
+      const char* v = point_flag_takes_value(arg) ? need(arg) : "";
+      if (!set_point_flag(&p, arg, v, &err)) fail(err);
     } else if (!std::strcmp(arg, "--cores")) {
       const long long cores = flag_ll(arg, need(arg), 1);
       int side = 1;
@@ -280,9 +279,6 @@ int main(int argc, char** argv) {
       square_mesh = std::to_string(side) + "x" + std::to_string(side);
     }
     else if (!std::strcmp(arg, "--workload")) p.app = need(arg);
-    else if (!std::strcmp(arg, "--partition"))
-      o.partition = static_cast<int>(flag_ll(arg, need(arg), 0));
-    else if (!std::strcmp(arg, "--no-l1tol1")) o.no_l1tol1 = true;
     else if (!std::strcmp(arg, "--heatmap")) o.heatmap = true;
     else if (!std::strcmp(arg, "--point-out")) o.point_out = need(arg);
     else if (!std::strcmp(arg, "--save-state")) o.save_state = need(arg);
