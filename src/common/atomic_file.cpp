@@ -21,6 +21,22 @@ void set_err(std::string* err, const std::string& msg) {
 
 }  // namespace
 
+bool read_file(const std::string& path, std::string* out, std::string* err) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    set_err(err, "cannot open '" + path + "'");
+    return false;
+  }
+  out->clear();
+  char buf[1 << 14];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  if (!ok) set_err(err, "cannot read '" + path + "'");
+  return ok;
+}
+
 bool fsync_parent_dir(const std::string& path) {
   const auto slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos

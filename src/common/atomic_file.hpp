@@ -55,6 +55,11 @@ class AtomicFile {
 /// where each record must individually survive a crash of the writer.
 bool append_line_durable(std::FILE* f, const std::string& line);
 
+/// The whole of `path` into *out. False (and *err, when non-null) when it
+/// cannot be opened or read.
+bool read_file(const std::string& path, std::string* out,
+               std::string* err = nullptr);
+
 /// fsync the directory containing `path` so a just-renamed or just-created
 /// name survives a crash. Returns false on failure (non-fatal for most
 /// callers, but reported so sweeps can warn).

@@ -1,10 +1,8 @@
 #include "sim/snapshot.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "common/atomic_file.hpp"
 #include "common/config.hpp"
@@ -106,18 +104,6 @@ namespace {
 
 constexpr std::size_t kMagicBytes = 8;
 constexpr std::size_t kChecksumBytes = 8;
-
-bool read_file(const std::string& path, std::string* out, std::string* err) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    *err = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  *out = ss.str();
-  return true;
-}
 
 std::uint64_t read_le64(const char* p) {
   std::uint64_t v = 0;

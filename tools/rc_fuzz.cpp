@@ -26,9 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -115,13 +113,6 @@ SweepPoint draw_point(Rng rng, Cycle warmup, Cycle cycles) {
   return p;
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
-}
-
 /// Snapshot torture drive: like System::run(), but every `every` cycles the
 /// state is saved, reloaded into a fresh System, re-saved and byte-compared
 /// (save -> load -> save is a fixed point), and the run continues from the
@@ -141,7 +132,8 @@ void torture_run(const SystemConfig& cfg, Cycle every) {
       throw FatalError("snapshot load failed: " + serr);
     if (!save_snapshot(*fresh, resaved, &serr))
       throw FatalError("snapshot re-save failed: " + serr);
-    if (slurp(snap) != slurp(resaved))
+    std::string a, b;
+    if (!read_file(snap, &a) || !read_file(resaved, &b) || a != b)
       throw FatalError("snapshot round-trip diverged at cycle " +
                        std::to_string(sys->now()) +
                        " (save -> load -> save is not a fixed point)");

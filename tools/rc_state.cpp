@@ -9,14 +9,13 @@
 // sections, on BODY layouts it does not fully understand).
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/atomic_file.hpp"
 #include "common/state.hpp"
 #include "sim/snapshot.hpp"
 
@@ -37,11 +36,9 @@ using SectionDir = std::vector<std::pair<std::string, std::uint64_t>>;
 /// directory (one entry per component group) walked with peek/skip.
 bool inspect(const std::string& path, SnapshotHeader* h, SectionDir* dir,
              std::string* err) {
-  if (!read_snapshot_header(path, h, err)) return false;
-  std::ifstream f(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  const std::string bytes = ss.str();
+  std::string bytes;
+  if (!read_snapshot_header(path, h, err) || !read_file(path, &bytes, err))
+    return false;
   StateReader r(bytes.substr(8, bytes.size() - 16));
   std::uint32_t u32v;
   std::uint64_t u64v, nfields;
