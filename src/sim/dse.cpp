@@ -24,6 +24,7 @@
 #include "common/parse.hpp"
 #include "power/energy_model.hpp"
 #include "sim/experiment.hpp"
+#include "sim/snapshot.hpp"
 
 namespace rc {
 
@@ -38,6 +39,14 @@ double now_s() {
 bool set_err(std::string* err, const std::string& msg) {
   if (err) *err = msg;
   return false;
+}
+
+/// The key a point's result record carries: point_key as rc-sim spells the
+/// point. shards rides RC_SHARDS, not a flag, so rc-sim's point leaves it
+/// at -1.
+std::string record_key(SweepPoint p) {
+  p.shards = -1;
+  return point_key(p);
 }
 
 /// mkdir -p: create every missing component. Racing creators are fine
@@ -230,28 +239,14 @@ bool parse_sweep_spec(const std::string& json_text,
   return true;
 }
 
-std::string point_result_json(const RunResult& r, const std::string& protocol,
-                              std::uint64_t seed, Cycle warmup, double wall_s) {
-  const ReplyBreakdown b = reply_breakdown(r);
-  char buf[768];
-  std::snprintf(
-      buf, sizeof buf,
-      "{\"preset\":\"%s\",\"app\":\"%s\",\"cores\":%d,\"mesh\":\"%dx%d\","
-      "\"topology\":\"%s\",\"mc_placement\":\"%s\",\"protocol\":\"%s\","
-      "\"seed\":%llu,\"warmup\":%llu,\"cycles\":%llu,\"ipc\":%.6f,"
-      "\"retired\":%llu,\"energy_per_instr\":%.6f,\"reply_used\":%.6f,"
-      "\"flits_injected\":%llu,",
-      r.preset.c_str(), r.app.c_str(), r.cores, r.noc.mesh_w, r.noc.mesh_h,
-      to_string(r.noc.topology), to_string(r.noc.mc_placement),
-      protocol.c_str(), static_cast<unsigned long long>(seed),
-      static_cast<unsigned long long>(warmup),
-      static_cast<unsigned long long>(r.cycles), r.ipc,
-      static_cast<unsigned long long>(r.retired), r.energy_per_instr, b.used,
-      static_cast<unsigned long long>(r.net.counter_value("ni_inject_flit")));
-  std::string out = buf;
-  out += "\"net\":" + r.net.to_json() + ",\"sys\":" + r.sys.to_json();
-  std::snprintf(buf, sizeof buf, ",\"wall_s\":%.4f}", wall_s);
-  return out + buf;
+std::string point_result_json(const RunResult& r, const SweepPoint& p,
+                              double wall_s) {
+  char wall[32];
+  std::snprintf(wall, sizeof wall, "%.4f", wall_s);
+  return "{\"key\":\"" + record_key(p) +
+         "\",\"retired\":" + std::to_string(r.retired) +
+         ",\"net\":" + r.net.to_json() + ",\"sys\":" + r.sys.to_json() +
+         ",\"wall_s\":" + wall + "}";
 }
 
 bool read_point_result(const std::string& json_text, const SweepPoint& p,
@@ -259,12 +254,17 @@ bool read_point_result(const std::string& json_text, const SweepPoint& p,
   std::string jerr;
   const std::optional<Json> j = parse_json(json_text, &jerr);
   if (!j) return set_err(err, "result is not JSON: " + jerr);
+  const Json* key = j->find("key");
   const Json* retired = j->find("retired");
   const Json* net = j->find("net");
   const Json* sys = j->find("sys");
-  if (retired == nullptr || retired->type != Json::Type::Int ||
-      retired->i < 0 || net == nullptr || sys == nullptr)
-    return set_err(err, "result lacks retired, net or sys");
+  if (key == nullptr || key->type != Json::Type::Str || retired == nullptr ||
+      retired->type != Json::Type::Int || retired->i < 0 || net == nullptr ||
+      sys == nullptr)
+    return set_err(err, "result lacks key, retired, net or sys");
+  if (key->s != record_key(p))
+    return set_err(err, "result is for point '" + key->s + "', not '" +
+                            record_key(p) + "'");
   RunResult r;
   if (!r.net.from_json(*net, &jerr) || !r.sys.from_json(*sys, &jerr))
     return set_err(err, "result stats: " + jerr);
@@ -612,53 +612,54 @@ int run_sweep(const DseOptions& opt, DseOutcome* outcome, std::string* err) {
       todo.push_back(static_cast<long long>(i));
   }
 
-  // Group the to-run points by warm key. A group only pays off when at
-  // least two members would repeat the same warm-up; singletons (and
-  // zero-warm-up points) run plain. A snapshot left by a prior (resumed or
-  // unrelated) sweep of the same group short-circuits the leader: every
-  // member loads it directly — rc-sim re-validates the digest and the
-  // checksum, so a stale or foreign file fails the point loudly rather
-  // than silently skewing it.
+  // Group the to-run points by warm-up (warm_group_hash of the config the
+  // point builds, so two spellings of one configuration share a group). A
+  // group only pays off when at least two members would repeat the same
+  // warm-up; singletons (and zero-warm-up points) run plain. A snapshot left
+  // by a prior (resumed or unrelated) sweep of the same group
+  // short-circuits the leader: every member loads it directly — rc-sim
+  // re-validates the digest and the checksum, so a stale or foreign file
+  // fails the load and the member falls back to its own warm-up.
   std::deque<PendingRun> queue;
   std::vector<WarmGroup> groups;
   std::vector<long long> group_of(points.size(), -1);
-  if (opt.warm_start) {
-    std::map<std::string, std::vector<long long>> by_key;
-    for (long long idx : todo)
-      if (points[static_cast<std::size_t>(idx)].warmup > 0)
-        by_key[warm_key(points[static_cast<std::size_t>(idx)])].push_back(idx);
-    for (long long idx : todo) {
-      const SweepPoint& p = points[static_cast<std::size_t>(idx)];
-      const auto it = p.warmup > 0 ? by_key.find(warm_key(p)) : by_key.end();
-      if (it == by_key.end() || it->second.size() < 2) {
-        queue.push_back(PendingRun{idx, 1, 0, WarmMode::Plain});
-        continue;
-      }
-      if (it->second.front() != idx) continue;  // group handled at its leader
-      WarmGroup g;
-      g.snap_path =
-          abs_out + "/snapshots/" + warm_dir_name(p) + "/warmup.state";
-      const bool have_snap = file_exists(g.snap_path);
-      for (long long m : it->second) {
-        group_of[static_cast<std::size_t>(m)] =
-            static_cast<long long>(groups.size());
-        if (have_snap) {
-          queue.push_back(PendingRun{m, 1, 0, WarmMode::Loader});
-        } else if (m == idx) {
-          if (!ensure_dir(abs_out + "/snapshots/" + warm_dir_name(p))) {
-            set_err(err, "cannot create snapshot directory under " + abs_out);
-            return 2;
-          }
-          queue.push_back(PendingRun{m, 1, 0, WarmMode::Leader});
-        } else {
-          g.waiters.push_back(m);
-        }
-      }
-      groups.push_back(std::move(g));
-    }
-  } else {
-    for (long long idx : todo)
+  std::map<std::string, std::vector<long long>> by_name;
+  std::vector<std::string> name_of(points.size());
+  for (long long idx : todo) {
+    const SweepPoint& p = points[static_cast<std::size_t>(idx)];
+    if (!opt.warm_start || p.warmup == 0) continue;
+    name_of[static_cast<std::size_t>(idx)] =
+        warm_group_name(warm_group_hash(point_config(p)));
+    by_name[name_of[static_cast<std::size_t>(idx)]].push_back(idx);
+  }
+  for (long long idx : todo) {
+    const std::string& name = name_of[static_cast<std::size_t>(idx)];
+    const auto it = by_name.find(name);
+    if (it == by_name.end() || it->second.size() < 2) {
       queue.push_back(PendingRun{idx, 1, 0, WarmMode::Plain});
+      continue;
+    }
+    if (it->second.front() != idx) continue;  // group handled at its leader
+    const std::string dir = abs_out + "/snapshots/" + name;
+    WarmGroup g;
+    g.snap_path = dir + "/warmup.state";
+    const bool have_snap = file_exists(g.snap_path);
+    for (long long m : it->second) {
+      group_of[static_cast<std::size_t>(m)] =
+          static_cast<long long>(groups.size());
+      if (have_snap) {
+        queue.push_back(PendingRun{m, 1, 0, WarmMode::Loader});
+      } else if (m == idx) {
+        if (!ensure_dir(dir)) {
+          set_err(err, "cannot create snapshot directory under " + abs_out);
+          return 2;
+        }
+        queue.push_back(PendingRun{m, 1, 0, WarmMode::Leader});
+      } else {
+        g.waiters.push_back(m);
+      }
+    }
+    groups.push_back(std::move(g));
   }
 
   std::FILE* jf = std::fopen(journal_path.c_str(), "a");
@@ -805,14 +806,16 @@ int run_sweep(const DseOptions& opt, DseOutcome* outcome, std::string* err) {
           if (it->warm == WarmMode::Loader) ++oc.warm_loaded;
           if (it->warm == WarmMode::Leader) ++oc.snapshots;
           release_group(it->idx);
-        } else if (it->attempt < opt.max_attempts) {
+        } else if (it->attempt < opt.max_attempts ||
+                   it->warm == WarmMode::Loader) {
           if (opt.verbose)
             std::fprintf(stderr,
                          "[rc-dse] point %lld attempt %d exited %d; retrying\n",
                          it->idx, it->attempt, exit_code);
-          // A failed loader retries with its own warm-up: if the snapshot
-          // itself is the problem (corrupt, foreign digest), retrying the
-          // load would fail identically and burn the point's attempts.
+          // A failed loader always retries, with its own warm-up: if the
+          // snapshot itself is the problem (corrupt, or a warm_group_hash
+          // collision the digest check refused), retrying the load would
+          // fail identically, and the point must not fail for it.
           queue.push_back(PendingRun{it->idx, it->attempt + 1,
                                      now_s() + opt.backoff_s * it->attempt,
                                      it->warm == WarmMode::Loader

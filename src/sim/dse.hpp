@@ -67,15 +67,17 @@ bool parse_sweep_spec(const std::string& json_text, std::vector<SweepPoint>* out
 // ---- single-point results (rc-sim --point-out) ----------------------------
 
 /// Machine-readable single-point result: one JSON line, fixed key order,
-/// deterministic fields first, wall-clock last. After the run's metadata
-/// come both whole StatSets, "net" and "sys" (StatSet::to_json). Written by
-/// rc-sim's --point-out mode via the atomic helper.
-std::string point_result_json(const RunResult& r, const std::string& protocol,
-                              std::uint64_t seed, Cycle warmup, double wall_s);
+/// wall-clock last. "key" names the point (point_key, with shards at -1:
+/// rc-sim has no shards flag), then "retired" and both whole StatSets,
+/// "net" and "sys" (StatSet::to_json). Written by rc-sim's --point-out mode
+/// via the atomic helper.
+std::string point_result_json(const RunResult& r, const SweepPoint& p,
+                              double wall_s);
 
 /// The RunResult point `p`'s point_result_json line records, bit for bit:
 /// retired and the StatSets from the line, the rest from point_config(p)
-/// as extract_result computes it. load_point_result reads the result.json
+/// as extract_result computes it. A record keyed for another point is
+/// refused, naming both keys. load_point_result reads the result.json
 /// run_sweep left for point `id` under `out_dir`.
 bool read_point_result(const std::string& json_text, const SweepPoint& p,
                        RunResult* out, std::string* err);
@@ -116,12 +118,16 @@ struct DseOptions {
   bool resume = false;       ///< skip journaled points; else a journal is an error
   long long max_points = -1; ///< stop scheduling after N newly terminal points
                              ///< (deterministic "interruption" for tests/ops)
-  /// Warm-start sharing: points with equal warm_key run their warm-up once.
-  /// The first such point (the group leader) runs with --save-state and
-  /// deposits out/snapshots/<hash>/warmup.state; the rest wait for it and
-  /// resume from the snapshot with --load-state. Results are byte-identical
-  /// either way (the snapshot identity contract), so this is purely a
-  /// wall-clock optimization — disable to re-run every warm-up from zero.
+  /// Warm-start sharing: points with equal warm_group_hash(point_config(p))
+  /// (sim/snapshot.hpp) run their warm-up once, however their knobs are
+  /// spelled. The first such point (the group leader) runs with
+  /// --save-state and deposits out/snapshots/<warm_group_name>/warmup.state;
+  /// the rest wait for it and resume from the snapshot with --load-state.
+  /// A loader that fails (say, the digest check refused a snapshot whose
+  /// hash collided) re-runs with its own warm-up. Results are
+  /// byte-identical either way (the snapshot identity contract), so this is
+  /// purely a wall-clock optimization — disable to re-run every warm-up
+  /// from zero.
   bool warm_start = true;
   bool verbose = false;
 };

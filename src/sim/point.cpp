@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "common/parse.hpp"
-#include "common/state.hpp"
 #include "cpu/apps.hpp"
 #include "sim/presets.hpp"
 
@@ -19,30 +18,30 @@ using P = SweepPoint;
 /// warm-start sweep, where every point repeats one warm-up and only the
 /// measurement length varies.
 constexpr PointAxis kAxes[] = {
-    // key           tag       rc-sim flag        field         min  warm
-    {"mesh",         "mesh",   "--mesh",          &P::mesh,         0, true},
-    {"topology",     "topo",   "--topology",      &P::topology,     0, true},
-    {"mc_placement", "mc",     "--mc-placement",  &P::mc_placement, 0, true},
-    {"preset",       "preset", "--preset",        &P::preset,       0, true},
-    {"app",          "app",    "--app",           &P::app,          0, true},
-    {"protocol",     "proto",  "--protocol",      &P::protocol,     0, true},
-    {"dir_pointers", "dirp",   "--dir-pointers",  &P::dir_pointers, 1, true},
-    {"dir_sets",     "dirs",   "--dir-sets",      &P::dir_sets,     1, true},
-    {"dir_ways",     "dirw",   "--dir-ways",      &P::dir_ways,     1, true},
-    {"circuits",     "circ",   "--circuits",      &P::circuits,     0, true},
-    {"slack",        "slack",  "--slack",         &P::slack,        0, true},
-    {"buf_depth",    "depth",  "--buf-depth",     &P::buf_depth,    1, true},
-    {"vcs_req",      "vcsq",   "--vcs-req",       &P::vcs_req,      1, true},
-    {"vcs_rep",      "vcsr",   "--vcs-rep",       &P::vcs_rep,      1, true},
+    // key           tag       rc-sim flag        field         min
+    {"mesh",         "mesh",   "--mesh",          &P::mesh,         0},
+    {"topology",     "topo",   "--topology",      &P::topology,     0},
+    {"mc_placement", "mc",     "--mc-placement",  &P::mc_placement, 0},
+    {"preset",       "preset", "--preset",        &P::preset,       0},
+    {"app",          "app",    "--app",           &P::app,          0},
+    {"protocol",     "proto",  "--protocol",      &P::protocol,     0},
+    {"dir_pointers", "dirp",   "--dir-pointers",  &P::dir_pointers, 1},
+    {"dir_sets",     "dirs",   "--dir-sets",      &P::dir_sets,     1},
+    {"dir_ways",     "dirw",   "--dir-ways",      &P::dir_ways,     1},
+    {"circuits",     "circ",   "--circuits",      &P::circuits,     0},
+    {"slack",        "slack",  "--slack",         &P::slack,        0},
+    {"buf_depth",    "depth",  "--buf-depth",     &P::buf_depth,    1},
+    {"vcs_req",      "vcsq",   "--vcs-req",       &P::vcs_req,      1},
+    {"vcs_rep",      "vcsr",   "--vcs-rep",       &P::vcs_rep,      1},
     // Added after keys were first journaled (omit_default, last column).
-    {"partition", "part", "--partition", &P::partition, 0, true, true},
-    {"no_l1tol1", "nol1l1", "--no-l1tol1", &P::no_l1tol1, 0, true, true},
+    {"partition", "part", "--partition", &P::partition, 0, true},
+    {"no_l1tol1", "nol1l1", "--no-l1tol1", &P::no_l1tol1, 0, true},
     {"undo_on_l2_miss", "undo", "--undo-on-l2-miss", &P::undo_on_l2_miss, 0,
-     true, true},
-    {"shards",       "shards", nullptr,           &P::shards,       1, false},
-    {"seed",         "seed",   "--seed",          &P::seed,         0, true},
-    {"warmup",       "warmup", "--warmup",        &P::warmup,       0, true},
-    {"cycles",       "cycles", "--cycles",        &P::cycles,       1, false},
+     true},
+    {"shards",       "shards", nullptr,           &P::shards,       1},
+    {"seed",         "seed",   "--seed",          &P::seed,         0},
+    {"warmup",       "warmup", "--warmup",        &P::warmup,       0},
+    {"cycles",       "cycles", "--cycles",        &P::cycles,       1},
 };
 
 using NameField = std::string SweepPoint::*;
@@ -64,20 +63,6 @@ std::string axis_text(const SweepPoint& p, const PointAxis& a) {
   if (const auto* f = std::get_if<SwitchField>(&a.field))
     return p.*(*f) ? "1" : "";
   return std::to_string(p.*std::get<CountField>(a.field));
-}
-
-/// "tag=value" for every axis (warm ones only if `warm_only`); defaults
-/// print as -1 so the key names every axis, except on omit_default rows.
-std::string key_of(const SweepPoint& p, bool warm_only) {
-  std::string key;
-  for (const PointAxis& a : kAxes) {
-    if (warm_only && !a.warm) continue;
-    const std::string v = axis_text(p, a);
-    if (v.empty() && a.omit_default) continue;
-    if (!key.empty()) key += ' ';
-    key += std::string(a.tag) + '=' + (v.empty() ? "-1" : v);
-  }
-  return key;
 }
 
 bool parse_mesh(const std::string& mesh, int* w, int* h) {
@@ -195,17 +180,17 @@ bool validate_point(const SweepPoint& p, std::string* err) {
   return true;
 }
 
-std::string point_key(const SweepPoint& p) { return key_of(p, false); }
-
-std::string warm_key(const SweepPoint& p) { return key_of(p, true); }
-
-std::string warm_dir_name(const SweepPoint& p) {
-  const std::string key = warm_key(p);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(
-                    fnv1a(key.data(), key.size())));
-  return buf;
+std::string point_key(const SweepPoint& p) {
+  // Defaults print as -1 so the key names every axis, except on
+  // omit_default rows.
+  std::string key;
+  for (const PointAxis& a : kAxes) {
+    const std::string v = axis_text(p, a);
+    if (v.empty() && a.omit_default) continue;
+    if (!key.empty()) key += ' ';
+    key += std::string(a.tag) + '=' + (v.empty() ? "-1" : v);
+  }
+  return key;
 }
 
 std::vector<std::string> point_args(const SweepPoint& p) {

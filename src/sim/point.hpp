@@ -1,9 +1,10 @@
 // One run point of the evaluation grid and the one table describing its
 // axes. rc-sim's flags, rc-dse's sweep specs and rc-fuzz's draws all name
 // points through it: each row of the table in point.cpp gives an axis's
-// spec key, point_key tag, rc-sim flag, SweepPoint field, minimum and
-// whether it shapes the warm-up, and every operation below walks the rows.
-// point_config is the only code that maps a point onto a SystemConfig.
+// spec key, point_key tag, rc-sim flag, SweepPoint field and minimum, and
+// every operation below walks the rows. point_config is the only code that
+// maps a point onto a SystemConfig; what shapes a point's warm-up is asked
+// of that config (warm_group_hash, sim/snapshot.hpp), not of the point.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +56,7 @@ struct PointAxis {
                bool SweepPoint::*, std::uint64_t SweepPoint::*>
       field;
   long long min;  ///< smallest legal knob or count
-  bool warm;      ///< part of warm_key (shapes the warm-up phase)
-  /// Left out of the keys while at its default: the rows added after keys
+  /// Left out of point_key while at its default: the rows added after keys
   /// were first journaled, so every earlier point keeps its key bytes.
   bool omit_default = false;
 };
@@ -86,14 +86,11 @@ bool set_point_flag(SweepPoint* p, const std::string& flag,
 bool validate_point(const SweepPoint& p, std::string* err);
 
 /// Canonical single-line identity: every axis, fixed order. Journals match
-/// on it across resumes, so its bytes must not move.
+/// on it across resumes, so its bytes must not move. It names a spelling:
+/// a knob set to its preset's own value keys apart from the same knob left
+/// at -1, though both simulate one configuration (config_digest of
+/// point_config names the configuration, sim/snapshot.hpp).
 std::string point_key(const SweepPoint& p);
-/// point_key minus the axes the snapshot digest relaxes (shards, cycles):
-/// points with equal warm keys build configs that differ only on relaxed
-/// fields, so they share one end-of-warm-up snapshot under
-/// out/snapshots/<warm_dir_name>/.
-std::string warm_key(const SweepPoint& p);
-std::string warm_dir_name(const SweepPoint& p);  ///< 16-hex FNV-1a of the key
 
 /// rc-sim's argv for the point (no argv[0]; default knobs, switches that
 /// are off and shards left out), and the point as a sweep-spec "points"

@@ -1,5 +1,6 @@
 #include "sim/snapshot.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <set>
@@ -95,6 +96,13 @@ std::uint64_t warm_group_hash(const ConfigDigest& digest) {
 
 std::uint64_t warm_group_hash(const SystemConfig& cfg) {
   return warm_group_hash(config_digest(cfg));
+}
+
+std::string warm_group_name(std::uint64_t hash) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
 }
 
 // ---------------------------------------------------------------------------

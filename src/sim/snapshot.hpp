@@ -50,12 +50,18 @@ ConfigDigest config_digest(const SystemConfig& cfg);
 /// worker-shard count and the tick mode do not affect simulated state.
 bool digest_field_relaxed(const std::string& name);
 
-/// FNV-1a over the strict (non-relaxed) digest subset. Sweep points with
-/// equal hashes simulate identical warm-up phases and can share one
-/// end-of-warm-up snapshot (rc-dse warm-start grouping). The digest
-/// overload lets tools hash a digest read back from a snapshot file.
+/// FNV-1a over the strict (non-relaxed) digest subset: the one answer to
+/// "what shapes the warm-up". Configurations with equal hashes simulate
+/// identical warm-up phases and share one end-of-warm-up snapshot: rc-dse
+/// groups warm starts by it and keeps each group's snapshot in
+/// out/snapshots/<warm_group_name>/. A collision cannot pass silently,
+/// because load_snapshot still compares the whole strict digest. The
+/// digest overload lets tools hash a digest read back from a snapshot file.
 std::uint64_t warm_group_hash(const ConfigDigest& digest);
 std::uint64_t warm_group_hash(const SystemConfig& cfg);
+/// The hash as 16 lower-case hex digits (rc-dse's directory, rc-state's
+/// "warm-group hash" line).
+std::string warm_group_name(std::uint64_t hash);
 
 /// Parsed snapshot header (tools/rc-state; also the load-time checks).
 struct SnapshotHeader {

@@ -207,11 +207,17 @@ void System::prewarm() {
 }
 
 Cycle System::run() {
-  prewarm();
-  run_cycles(cfg_.warmup_cycles);
-  reset_stats();
-  run_cycles(cfg_.measure_cycles);
+  run_to(cfg_.warmup_cycles + cfg_.measure_cycles);
   return cfg_.measure_cycles;
+}
+
+void System::run_to(Cycle t) {
+  RC_ASSERT(t >= now(), "run_to cannot move the clock backwards");
+  prewarm();
+  const Cycle w = cfg_.warmup_cycles;
+  if (now() < w && t > w) run_cycles(w - now());
+  if (now() == w && t > w) reset_stats();
+  if (t > now()) run_cycles(t - now());
 }
 
 void System::save_state(StateWriter& w) const {

@@ -28,13 +28,21 @@ class System {
   explicit System(const SystemConfig& cfg);
   ~System();
 
-  /// Warm up (stats discarded), then measure. Returns measured cycles.
-  /// Caches are first warmed functionally (hot working sets installed with
-  /// consistent directory state), standing in for the paper's 200M-cycle
-  /// warm-up at laptop-scale simulation budgets.
+  /// Warm up (stats discarded), then measure: run_to(warmup + measure).
+  /// Returns measured cycles. Caches are first warmed functionally (hot
+  /// working sets installed with consistent directory state), standing in
+  /// for the paper's 200M-cycle warm-up at laptop-scale simulation budgets.
   Cycle run();
 
-  /// Functional cache warm-up (called by run(); idempotent).
+  /// The one run sequence: prewarm (idempotent), then advance to absolute
+  /// cycle `t` (>= now()). The statistics reset as the clock leaves
+  /// cfg.warmup_cycles, so a System standing exactly at the warm-up
+  /// boundary, fresh or restored, still holds its warm-up stats. Stopping
+  /// anywhere (a snapshot save, a checkpoint) and continuing with a later
+  /// run_to gives the uninterrupted run's state.
+  void run_to(Cycle t);
+
+  /// Functional cache warm-up (called by run_to; idempotent).
   void prewarm();
 
   /// Advance the clock by `n` cycles (exposed for tests).

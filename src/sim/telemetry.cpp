@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -332,28 +333,6 @@ bool Telemetry::write() {
 
 namespace {
 
-bool find_ull(const std::string& line, const char* key,
-              unsigned long long* out) {
-  const std::string pat = std::string("\"") + key + "\":";
-  const auto pos = line.find(pat);
-  if (pos == std::string::npos) return false;
-  const char* start = line.c_str() + pos + pat.size();
-  char* end = nullptr;
-  *out = std::strtoull(start, &end, 10);
-  return end != start;
-}
-
-bool find_str(const std::string& line, const char* key, std::string* out) {
-  const std::string pat = std::string("\"") + key + "\":\"";
-  const auto pos = line.find(pat);
-  if (pos == std::string::npos) return false;
-  const auto begin = pos + pat.size();
-  const auto close = line.find('"', begin);
-  if (close == std::string::npos) return false;
-  *out = line.substr(begin, close - begin);
-  return true;
-}
-
 bool kind_of(const std::string& name, TelemetryEvent::Kind* out) {
   for (int k = 0; k < TelemetryEvent::kNumKinds; ++k) {
     const auto kk = static_cast<TelemetryEvent::Kind>(k);
@@ -396,37 +375,52 @@ bool load_trace(const std::string& path, std::vector<TelemetryEvent>* events,
     return false;
   }
   std::string line;
-  unsigned long long v = 0;
-  std::string s;
-  while (std::getline(in, line)) {
-    if (!find_str(line, "e", &s)) continue;
-    if (s == "header") continue;
-    if (s == "sample") {
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
+    std::string jerr;
+    const std::optional<Json> j = parse_json(line, &jerr);
+    if (!j || j->type != Json::Type::Obj) {
+      // A truncated or corrupt trace must not summarize as a whole one.
+      if (err)
+        *err = path + ":" + std::to_string(line_no) +
+               ": not a JSON object" + (j ? "" : " (" + jerr + ")");
+      return false;
+    }
+    auto num = [&]<typename T>(const char* key, T* out) {
+      if (const Json* v = j->find(key); v && v->type == Json::Type::Int)
+        *out = static_cast<T>(v->i);
+    };
+    auto str = [&](const char* key) -> std::string {
+      const Json* v = j->find(key);
+      return v && v->type == Json::Type::Str ? v->s : std::string();
+    };
+    const std::string e = str("e");
+    if (e == "header") continue;
+    if (e == "sample") {
       TelemetrySample smp;
-      if (find_ull(line, "c", &v)) smp.cycle = v;
-      if (find_ull(line, "w", &v)) smp.window = v;
-      if (find_ull(line, "inj", &v)) smp.injected = v;
-      if (find_ull(line, "dlv", &v)) smp.delivered = v;
-      if (find_ull(line, "res", &v)) smp.reserved = v;
-      if (find_ull(line, "undo", &v)) smp.undone = v;
-      if (find_ull(line, "scr", &v)) smp.scrounged = v;
-      if (find_ull(line, "buf", &v)) smp.buffered_flits = v;
-      if (find_ull(line, "circ", &v)) smp.live_circuits = v;
+      num("c", &smp.cycle);
+      num("w", &smp.window);
+      num("inj", &smp.injected);
+      num("dlv", &smp.delivered);
+      num("res", &smp.reserved);
+      num("undo", &smp.undone);
+      num("scr", &smp.scrounged);
+      num("buf", &smp.buffered_flits);
+      num("circ", &smp.live_circuits);
       if (samples) samples->push_back(smp);
       continue;
     }
     TelemetryEvent ev;
-    if (!kind_of(s, &ev.kind)) continue;  // future schema additions
-    if (find_ull(line, "c", &v)) ev.cycle = v;
-    if (find_ull(line, "n", &v)) ev.node = static_cast<NodeId>(v);
-    if (find_ull(line, "p", &v)) ev.port = static_cast<std::int16_t>(v);
-    if (find_ull(line, "vc", &v)) ev.vc = static_cast<std::int16_t>(v);
-    if (find_ull(line, "d", &v)) ev.dest = static_cast<NodeId>(v);
-    if (find_ull(line, "a", &v)) ev.addr = v;
-    if (find_ull(line, "o", &v)) ev.owner = v;
-    if (find_ull(line, "m", &v)) ev.msg = v;
-    if (find_str(line, "cat", &s)) category_of(s, &ev.cat);
-    if (find_str(line, "t", &s)) msg_type_of(s, &ev.mtype);
+    if (!kind_of(e, &ev.kind)) continue;  // future schema additions
+    num("c", &ev.cycle);
+    num("n", &ev.node);
+    num("p", &ev.port);
+    num("vc", &ev.vc);
+    num("d", &ev.dest);
+    num("a", &ev.addr);
+    num("o", &ev.owner);
+    num("m", &ev.msg);
+    category_of(str("cat"), &ev.cat);
+    msg_type_of(str("t"), &ev.mtype);
     if (events) events->push_back(ev);
   }
   return true;

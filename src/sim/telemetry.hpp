@@ -228,7 +228,9 @@ struct TraceSummary {
 };
 
 /// Parse a trace file produced by Telemetry::write (JSONL). Returns false
-/// with a diagnostic in *err on unreadable input; unknown lines are skipped.
+/// with a diagnostic in *err on an unreadable file or on a line that is not
+/// a JSON object (named as path:line, so a truncated or corrupt trace never
+/// reads as a shorter whole one); records of unknown kinds are skipped.
 bool load_trace(const std::string& path, std::vector<TelemetryEvent>* events,
                 std::vector<TelemetrySample>* samples, std::string* err);
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -50,30 +51,51 @@ void write_file(const std::string& path, const std::string& content) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-/// A /bin/sh rc-sim stand-in. Behavior keys off --seed:
+/// A /bin/sh rc-sim stand-in. It rebuilds the point's key from its flags
+/// (generated from the axis table: an absent flag is -1, or no tag on an
+/// omit_default row) and touches --save-state's file. Behavior keys off
+/// --seed:
+///   55  -> exit 2 when given --load-state (a snapshot the digest refused)
 ///   66  -> exit 1 (a crashing configuration)
 ///   77  -> sleep 30 (a hung configuration; the driver's timeout kills it)
 ///   else write a plausible result.json in rc-sim's record format (content
-///   depends only on the seed, so re-runs are byte-identical) and exit 0.
+///   depends only on the point, so re-runs are byte-identical) and exit 0.
 std::string write_fake_runner(const std::string& dir) {
+  std::string vars, valued, switches, key;
+  for (const PointAxis& a : point_axes()) {
+    const std::string v = std::string("v_") + a.tag;
+    vars += v + "=" + (a.omit_default ? "" : "-1") + "; ";
+    const bool on = std::holds_alternative<bool SweepPoint::*>(a.field);
+    if (a.flag != nullptr)  // shards has none: the record leaves it at -1
+      (on ? switches : valued) += std::string("    ") + a.flag + ") " + v +
+                                  (on ? "=1;;\n" : "=$a;;\n");
+    key += a.omit_default ? "${" + v + ":+ " + a.tag + "=$" + v + "}"
+                          : std::string(" ") + a.tag + "=$" + v;
+  }
   const std::string path = dir + "/fake-rc-sim";
   write_file(path,
-             "#!/bin/sh\n"
-             "seed=0; out=result.json; prev=\n"
-             "for a in \"$@\"; do\n"
-             "  case \"$prev\" in\n"
-             "    --seed) seed=$a;;\n"
-             "    --point-out) out=$a;;\n"
-             "  esac\n"
-             "  prev=$a\n"
-             "done\n"
-             "[ \"$seed\" = 66 ] && exit 1\n"
-             "[ \"$seed\" = 77 ] && sleep 30\n"
-             "printf '{\"retired\":%s,\"net\":{\"counters\":{"
-             "\"ni_inject_flit\":42,\"reply_used\":2,\"reply_failed\":3},"
-             "\"accumulators\":{},\"histograms\":{}},\"sys\":{"
-             "\"counters\":{},\"accumulators\":{},\"histograms\":{}},"
-             "\"wall_s\":0.01}\\n' \"$seed\" > \"$out\"\n");
+             "#!/bin/sh\n" + vars +
+                 "out=result.json; load=; prev=\n"
+                 "for a in \"$@\"; do\n"
+                 "  case \"$prev\" in\n" + valued +
+                 "    --point-out) out=$a;;\n"
+                 "    --save-state) : > \"$a\";;\n"
+                 "    --load-state) load=$a;;\n"
+                 "  esac\n"
+                 "  case \"$a\" in\n" + switches +
+                 "  esac\n"
+                 "  prev=$a\n"
+                 "done\n"
+                 "key=\"" + key + "\"\n"
+                 "[ \"$v_seed\" = 55 ] && [ -n \"$load\" ] && exit 2\n"
+                 "[ \"$v_seed\" = 66 ] && exit 1\n"
+                 "[ \"$v_seed\" = 77 ] && sleep 30\n"
+                 "printf '{\"key\":\"%s\",\"retired\":%s,\"net\":{"
+                 "\"counters\":{\"ni_inject_flit\":42,\"reply_used\":2,"
+                 "\"reply_failed\":3},\"accumulators\":{},\"histograms\":{}},"
+                 "\"sys\":{\"counters\":{},\"accumulators\":{},"
+                 "\"histograms\":{}},\"wall_s\":0.01}\\n' \"${key# }\" "
+                 "\"$v_seed\" > \"$out\"\n");
   EXPECT_EQ(::chmod(path.c_str(), 0755), 0);
   return path;
 }
@@ -243,8 +265,7 @@ TEST(SweepSpec, PointKeyIsStableAndArgsFollowRcSimFlags) {
 // ---- run points -----------------------------------------------------------
 
 TEST(Point, KeysKeepTheBytesEarlierBuildsWrote) {
-  // Journals and warm-start directories written by earlier builds are
-  // matched on these exact bytes.
+  // Journals written by earlier builds are matched on these exact bytes.
   SweepPoint p;
   p.mesh = "8x4";
   p.topology = "torus";
@@ -268,11 +289,6 @@ TEST(Point, KeysKeepTheBytesEarlierBuildsWrote) {
             "mesh=8x4 topo=torus mc=diagonal preset=Complete app=canneal "
             "proto=sparse-msi dirp=2 dirs=64 dirw=4 circ=3 slack=1 depth=2 "
             "vcsq=2 vcsr=3 shards=4 seed=12345 warmup=700 cycles=1900");
-  EXPECT_EQ(warm_key(p),
-            "mesh=8x4 topo=torus mc=diagonal preset=Complete app=canneal "
-            "proto=sparse-msi dirp=2 dirs=64 dirw=4 circ=3 slack=1 depth=2 "
-            "vcsq=2 vcsr=3 seed=12345 warmup=700");
-  EXPECT_EQ(warm_dir_name(p), "cb1d98140220b36f");
 }
 
 TEST(Point, LateRowsAddTagsOnlyWhenSet) {
@@ -284,7 +300,8 @@ TEST(Point, LateRowsAddTagsOnlyWhenSet) {
   p.undo_on_l2_miss = true;
   EXPECT_NE(point_key(p).find(" part=2 nol1l1=1 undo=1 "), std::string::npos)
       << point_key(p);
-  EXPECT_NE(warm_key(p), warm_key(SweepPoint{}));
+  EXPECT_NE(warm_group_hash(point_config(p)),
+            warm_group_hash(point_config(SweepPoint{})));
   const std::vector<std::string> args = point_args(p);
   for (const char* a : {"--partition", "2", "--no-l1tol1", "--undo-on-l2-miss"})
     EXPECT_NE(std::find(args.begin(), args.end(), a), args.end()) << a;
@@ -399,9 +416,8 @@ TEST(PointResult, ARealRunRoundTripsExactly) {
 
     RunResult back;
     std::string err;
-    ASSERT_TRUE(read_point_result(
-        point_result_json(r, p.protocol, p.seed, p.warmup, 0.5), p, &back,
-        &err))
+    ASSERT_TRUE(
+        read_point_result(point_result_json(r, p, 0.5), p, &back, &err))
         << err;
     EXPECT_TRUE(back.net == r.net) << preset;
     EXPECT_TRUE(back.sys == r.sys) << preset;
@@ -430,24 +446,36 @@ TEST(PointResult, FractionalDoublesRoundTripExactly) {
 
 TEST(PointResult, MalformedRecordsAreRefused) {
   const SweepPoint p;
+  const std::string key = "{\"key\":\"" + point_key(p) + "\",";
   const std::string empty = "{\"counters\":{},\"accumulators\":{},"
                             "\"histograms\":{}}";
   RunResult r;
   std::string err;
   ASSERT_TRUE(read_point_result(
-      "{\"retired\":7,\"net\":" + empty + ",\"sys\":" + empty + "}", p, &r,
-      &err))
+      key + "\"retired\":7,\"net\":" + empty + ",\"sys\":" + empty + "}", p,
+      &r, &err))
       << err;
   EXPECT_EQ(r.retired, 7u);
   for (const std::string& bad :
-       {"{\"retired\":7,\"net\":" + empty + "}",
-        "{\"retired\":7,\"net\":{\"counters\":{\"nope\":1},"
-        "\"accumulators\":{},\"histograms\":{}},\"sys\":" + empty + "}",
-        "{\"retired\":7,\"net\":{\"counters\":{},\"accumulators\":{"
-        "\"lat_net_req\":{\"n\":1}},\"histograms\":{}},\"sys\":" +
+       {key + "\"retired\":7,\"net\":" + empty + "}",
+        key + "\"retired\":7,\"net\":{\"counters\":{\"nope\":1},"
+              "\"accumulators\":{},\"histograms\":{}},\"sys\":" + empty + "}",
+        key + "\"retired\":7,\"net\":{\"counters\":{},\"accumulators\":{"
+              "\"lat_net_req\":{\"n\":1}},\"histograms\":{}},\"sys\":" +
             empty + "}",
-        std::string("{\"retired\":7,\"net\":")})
+        key + "\"retired\":7,\"net\":",
+        "{\"retired\":7,\"net\":" + empty + ",\"sys\":" + empty + "}"})
     EXPECT_FALSE(read_point_result(bad, p, &r, &err)) << bad;
+
+  // A record of another point is refused, naming both keys.
+  SweepPoint other = p;
+  other.seed = 2;
+  const std::string theirs =
+      "{\"key\":\"" + point_key(other) + "\",\"retired\":7,\"net\":" +
+      empty + ",\"sys\":" + empty + "}";
+  EXPECT_FALSE(read_point_result(theirs, p, &r, &err));
+  EXPECT_NE(err.find(point_key(other)), std::string::npos) << err;
+  EXPECT_NE(err.find(point_key(p)), std::string::npos) << err;
 }
 
 // ---- journal --------------------------------------------------------------
@@ -644,6 +672,43 @@ TEST(RunSweep, ResumeWithAChangedSpecIsRefused) {
   ASSERT_EQ(run_sweep(o, &oc, &err), 0) << err;
   EXPECT_EQ(oc.skipped, 2);
   EXPECT_EQ(oc.ok, 3);
+}
+
+TEST(RunSweep, SpellingsOfOneWarmUpShareOneSnapshot) {
+  // circuits 5 is Complete's own value: four points, one warm-up.
+  const std::string dir = test_dir("sweep_spellings");
+  const std::string runner = write_fake_runner(dir);
+  DseOptions o = base_options(dir + "/out", runner);
+  o.points = expand(
+      "{\"preset\": \"Complete\", \"circuits\": [-1, 5], "
+      "\"cycles\": [100, 200]}");
+  DseOutcome oc;
+  std::string err;
+  ASSERT_EQ(run_sweep(o, &oc, &err), 0) << err;
+  EXPECT_EQ(oc.snapshots, 1);
+  EXPECT_EQ(oc.warm_loaded, 3);
+  std::vector<std::string> names;
+  for (const auto& e :
+       std::filesystem::directory_iterator(o.out_dir + "/snapshots"))
+    names.push_back(e.path().filename().string());
+  EXPECT_EQ(names, std::vector<std::string>{warm_group_name(
+                       warm_group_hash(point_config(o.points[0])))});
+}
+
+TEST(RunSweep, ARefusedSnapshotFallsBackToItsOwnWarmUp) {
+  // Seed 55's loader exits 2, as rc-sim does when the digest check refuses
+  // a snapshot; with one attempt per point it must still end ok.
+  const std::string dir = test_dir("sweep_refused");
+  const std::string runner = write_fake_runner(dir);
+  DseOptions o = base_options(dir + "/out", runner);
+  o.max_attempts = 1;
+  o.points = expand("{\"seed\": 55, \"cycles\": [100, 200]}");
+  DseOutcome oc;
+  std::string err;
+  ASSERT_EQ(run_sweep(o, &oc, &err), 0) << err;
+  EXPECT_EQ(oc.ok, 2);
+  EXPECT_EQ(oc.snapshots, 1);
+  EXPECT_EQ(oc.warm_loaded, 0);
 }
 
 TEST(RunSweep, StoppedEarlyThenResumedMatchesUninterrupted) {

@@ -130,6 +130,51 @@ TEST(SnapshotRoundtrip, RandomMidRunSaveAcrossTopologiesAndProtocols) {
                      std::string(tname) + "_" + pname);
 }
 
+// The warm-up boundary rule, in-process: run_to resets the stats as the
+// clock leaves warmup_cycles, so a save at any split, including exactly at
+// the boundary and at cycle 0, resumes to the uninterrupted run().
+TEST(SnapshotRoundtrip, RunToSplitsResumeToTheUninterruptedRun) {
+  const SystemConfig cfg = combo_config(TopologyKind::Mesh,
+                                        Protocol::FullMapMESI, /*seed=*/3);
+  const Cycle w = cfg.warmup_cycles;
+  const Cycle end = w + cfg.measure_cycles;
+  std::string err;
+  System full(cfg);
+  full.run();
+  ASSERT_TRUE(save_snapshot(full, "snap_split_a.state", &err)) << err;
+  const std::string want = read_file("snap_split_a.state");
+
+  for (Cycle split : {Cycle{0}, w - 1, w, w + 1, end}) {
+    SCOPED_TRACE("split at cycle " + std::to_string(split));
+    System first(cfg);
+    first.run_to(split);
+    ASSERT_EQ(first.now(), split);
+    if (split <= w) {  // not yet reset: the boundary holds warm-up stats
+      System raw(cfg);
+      raw.prewarm();
+      raw.run_cycles(split);
+      EXPECT_TRUE(first.network().merged_stats() ==
+                  raw.network().merged_stats());
+      EXPECT_TRUE(first.merged_sys_stats() == raw.merged_sys_stats());
+    }
+    ASSERT_TRUE(save_snapshot(first, "snap_split_mid.state", &err)) << err;
+    System resumed(cfg);
+    ASSERT_EQ(load_snapshot(&resumed, "snap_split_mid.state", &err),
+              SnapshotStatus::Ok)
+        << err;
+    resumed.run_to(end);
+    ASSERT_TRUE(save_snapshot(resumed, "snap_split_b.state", &err)) << err;
+    EXPECT_EQ(read_file("snap_split_b.state"), want);
+    EXPECT_TRUE(resumed.network().merged_stats() ==
+                full.network().merged_stats());
+    EXPECT_TRUE(resumed.merged_sys_stats() == full.merged_sys_stats());
+    EXPECT_EQ(resumed.total_retired(), full.total_retired());
+  }
+  for (const char* f :
+       {"snap_split_a.state", "snap_split_mid.state", "snap_split_b.state"})
+    std::remove(f);
+}
+
 TEST(SnapshotRejection, TruncationAnywhereFailsTheChecksum) {
   const SystemConfig cfg = combo_config(TopologyKind::Mesh,
                                         Protocol::FullMapMESI, /*seed=*/5);

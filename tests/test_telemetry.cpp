@@ -16,6 +16,7 @@
 //    delivered message, paired across a scrounger's re-injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -310,12 +311,45 @@ TEST(TelemetryRoundTrip, LoadTraceRejectsMissingFile) {
   EXPECT_FALSE(err.empty());
 }
 
-TEST(TelemetryRoundTrip, UnknownLinesAreSkipped) {
+TEST(TelemetryRoundTrip, TruncatedOrCorruptTracesAreRefused) {
+  const std::string path = tmp_path("whole.jsonl");
+  {
+    ScopedEnv env("RC_TELEMETRY", path.c_str());
+    System sys(small_cfg());
+    sys.run();
+    ASSERT_TRUE(sys.telemetry()->write());
+  }
+  const std::string whole = slurp(path);
+  std::string err;
+  ASSERT_TRUE(load_trace(path, nullptr, nullptr, &err)) << err;
+  auto refused_at = [&](const std::string& text, std::size_t line) {
+    const std::string bad = tmp_path("bad.jsonl");
+    std::ofstream(bad, std::ios::binary) << text;
+    std::vector<TelemetryEvent> events;
+    err.clear();
+    EXPECT_FALSE(load_trace(bad, &events, nullptr, &err));
+    EXPECT_NE(err.find(bad + ":" + std::to_string(line) + ":"),
+              std::string::npos)
+        << err;
+    std::remove(bad.c_str());
+  };
+  // Cut mid-line, as a copy of a trace still being written would be.
+  const std::size_t cut = whole.find('\n', whole.size() / 2) - 5;
+  refused_at(whole.substr(0, cut),
+             1 + static_cast<std::size_t>(
+                     std::count(whole.begin(), whole.begin() + cut, '\n')));
+  const std::size_t first = whole.find('\n') + 1;
+  refused_at(whole.substr(0, first) + "not json at all\n" +
+                 whole.substr(first),
+             2);
+  std::remove(path.c_str());
+}
+
+TEST(TelemetryRoundTrip, UnknownKindsAreSkipped) {
   const std::string path = tmp_path("mixed_schema.jsonl");
   {
     std::ofstream out(path);
     out << "{\"e\":\"header\",\"v\":1,\"sample_every\":0}\n"
-        << "not json at all\n"
         << "{\"e\":\"from_the_future\",\"c\":5}\n"
         << "{\"e\":\"inject\",\"c\":4,\"n\":2,\"m\":9,\"d\":6}\n";
   }

@@ -13,13 +13,15 @@
 // seeded coverage, but each point in its own crash-isolated subprocess with
 // a journal to resume from.
 //
-// --snapshot-every N is the snapshot torture mode: every N cycles the run
-// is saved, reloaded into a fresh System, re-saved (save -> load -> save
-// must reproduce the file byte-for-byte), and *continued from the reloaded
-// System* — so the rest of the run, including the Validator's per-cycle
-// scans, executes on restored state. Any serialization gap becomes a
-// byte-diff, a load failure, or a downstream RC_CHECK violation with the
-// usual repro command.
+// --snapshot-every N is the snapshot torture mode: the run steps through
+// System::run_to, the one run sequence (it resets the stats as the clock
+// leaves the warm-up), and every N cycles of warm-up, then every N cycles
+// of measurement, it is saved, reloaded into a fresh System, re-saved
+// (save -> load -> save must reproduce the file byte-for-byte), and
+// *continued from the reloaded System* — so the rest of the run, including
+// the Validator's per-cycle scans, executes on restored state. Any
+// serialization gap becomes a byte-diff, a load failure, or a downstream
+// RC_CHECK violation with the usual repro command.
 //
 // Exit status: 0 when every configuration ran clean, 1 on the first
 // violation (after printing the repro), 2 on bad flags.
@@ -113,17 +115,22 @@ SweepPoint draw_point(Rng rng, Cycle warmup, Cycle cycles) {
   return p;
 }
 
-/// Snapshot torture drive: like System::run(), but every `every` cycles the
-/// state is saved, reloaded into a fresh System, re-saved and byte-compared
-/// (save -> load -> save is a fixed point), and the run continues from the
-/// *reloaded* System. Throws FatalError on any snapshot-layer failure so
-/// the caller's violation reporting (with the repro command) kicks in.
+/// Snapshot torture drive: System::run's sequence stepped through run_to,
+/// with a checkpoint every `every` cycles of warm-up and then every `every`
+/// cycles of measurement. Each checkpoint saves the state, reloads it into
+/// a fresh System, re-saves and byte-compares (save -> load -> save is a
+/// fixed point), and the run continues from the *reloaded* System. Throws
+/// FatalError on any snapshot-layer failure so the caller's violation
+/// reporting (with the repro command) kicks in.
 void torture_run(const SystemConfig& cfg, Cycle every) {
   auto sys = std::make_unique<System>(cfg);
-  sys->prewarm();
   const std::string snap = "rcfuzz_torture.state";
   const std::string resaved = "rcfuzz_torture2.state";
-  auto checkpoint = [&]() {
+  const Cycle w = cfg.warmup_cycles;
+  const Cycle end = w + cfg.measure_cycles;
+  for (Cycle t = 0; t < end;) {
+    t = std::min(t + every, t < w ? w : end);
+    sys->run_to(t);
     std::string serr;
     if (!save_snapshot(*sys, snap, &serr))
       throw FatalError("snapshot save failed: " + serr);
@@ -135,21 +142,10 @@ void torture_run(const SystemConfig& cfg, Cycle every) {
     std::string a, b;
     if (!read_file(snap, &a) || !read_file(resaved, &b) || a != b)
       throw FatalError("snapshot round-trip diverged at cycle " +
-                       std::to_string(sys->now()) +
+                       std::to_string(t) +
                        " (save -> load -> save is not a fixed point)");
     sys = std::move(fresh);
-  };
-  auto span = [&](Cycle n) {
-    while (n > 0) {
-      const Cycle step = std::min(every, n);
-      sys->run_cycles(step);
-      n -= step;
-      checkpoint();
-    }
-  };
-  span(cfg.warmup_cycles);
-  sys->reset_stats();
-  span(cfg.measure_cycles);
+  }
   std::remove(snap.c_str());
   std::remove(resaved.c_str());
 }

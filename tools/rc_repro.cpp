@@ -1,10 +1,11 @@
 // rc-repro [section...]: the paper's evaluation (§5) — Tables 1/5/6,
 // Figs. 6-10 and the §4.1/§4.2/§4.4/§5.5 supporting studies — as one
 // Markdown report on stdout. Every section declares the run points it reads
-// up front; rc-repro runs their union once, deduplicated by point_key,
-// through run_sweep (one rc-sim process per point, sim/dse.hpp) in a fresh
-// directory under $TMPDIR, and each section prints from those results (the
-// §5.5 load sweep drives the raw NoC serially). No argument runs every
+// up front; rc-repro runs their union once, deduplicated by configuration
+// (config_digest of point_config), through run_sweep (one rc-sim process
+// per point, sim/dse.hpp) in a fresh directory under $TMPDIR, and each
+// section prints from those results (the §5.5 load sweep drives the raw NoC
+// serially). No argument runs every
 // section; an unknown name exits 2. RC_FULL, RC_WARMUP_CYCLES,
 // RC_MEASURE_CYCLES, RC_SEED and RC_JOBS set the scale (EXPERIMENTS.md) and
 // exit 2 when malformed. Progress goes to stderr; stdout is a pure function
@@ -30,6 +31,7 @@
 #include "sim/point.hpp"
 #include "sim/presets.hpp"
 #include "sim/report.hpp"
+#include "sim/snapshot.hpp"
 #include "sim/synthetic.hpp"
 
 using namespace rc;
@@ -63,13 +65,14 @@ SweepPoint protocol_point(const std::string& preset, const std::string& app,
 }
 
 /// The result cache. Sections add() their points, run() simulates each
-/// distinct one once, and get() serves the results; reading a point that
-/// no section declared is a bug.
+/// distinct configuration once (the first spelling declared is the one
+/// journaled), and get() serves the results; reading a point that no
+/// section declared is a bug.
 class Runs {
  public:
   void add(const SweepPoint& p) {
     ++declared_;
-    if (index_.emplace(point_key(p), points_.size()).second)
+    if (index_.emplace(config_digest(point_config(p)), points_.size()).second)
       points_.push_back(p);
   }
   void add_matrix(const std::vector<int>& cores,
@@ -118,7 +121,7 @@ class Runs {
   }
 
   const RunResult& get(const SweepPoint& p) const {
-    auto it = index_.find(point_key(p));
+    auto it = index_.find(config_digest(point_config(p)));
     RC_ASSERT(it != index_.end() && it->second < results_.size(),
               "rc-repro: a section read a point it did not declare");
     return results_[it->second];
@@ -129,7 +132,7 @@ class Runs {
   }
 
  private:
-  std::map<std::string, std::size_t> index_;
+  std::map<ConfigDigest, std::size_t> index_;
   std::vector<SweepPoint> points_;
   std::vector<RunResult> results_;
   std::size_t declared_ = 0;
@@ -513,11 +516,9 @@ void print_setup(const Runs& runs) {
 
 const int kCapacities[] = {1, 2, 3, 4, 5, 6, 8};
 
-/// Knobs at the preset's own value stay -1, so such a point shares its
-/// key (and its run) with the plain point.
 SweepPoint cap_point(int cap, const std::string& app) {
   SweepPoint p = point(64, "Complete_NoAck", app);
-  if (cap != point_config(p).noc.circuit.circuits_per_input) p.circuits = cap;
+  p.circuits = cap;
   return p;
 }
 
@@ -620,11 +621,11 @@ void print_l2miss_undo(const Runs& runs) {
   }
 }
 
-/// pside 0 is the monolithic chip: the plain point.
+/// pside 0 is the monolithic chip.
 SweepPoint partition_point(int pside, const std::string& preset,
                            const std::string& app) {
   SweepPoint p = point(64, preset, app);
-  if (pside != 0) p.partition = pside;
+  p.partition = pside;
   return p;
 }
 

@@ -23,9 +23,9 @@
 //                         --cycles, shards and tick mode (a mismatch, or a
 //                         snapshot that fails to load: exit 2)
 //     --csv               machine-readable one-line-per-run output
-//     --point-out FILE    single-point mode for rc-dse: write the run result,
-//                         whole StatSets included, as one JSON line to FILE
-//                         (atomic rename)
+//     --point-out FILE    single-point mode for rc-dse: write the point's
+//                         key, retired count and whole StatSets as one JSON
+//                         line to FILE (atomic rename)
 //     --list              list presets and workloads, then exit
 #include <chrono>
 #include <cstdio>
@@ -107,26 +107,17 @@ RunResult run(const Options& o, const SweepPoint& p) {
     std::fprintf(stderr, "invalid configuration: %s\n", err.c_str());
     std::exit(2);
   }
-  const bool manual =
-      o.heatmap || !o.save_state.empty() || !o.load_state.empty();
-  if (!manual) return run_config(cfg, p.preset);
-
-  // The heatmap and snapshots both need the System to outlive run_config's
-  // all-in-one flow: step it manually, then extract the result.
   System sys(cfg);
-
   if (!o.load_state.empty()) {
-    std::string serr;
-    if (load_snapshot(&sys, o.load_state, &serr) != SnapshotStatus::Ok) {
+    if (load_snapshot(&sys, o.load_state, &err) != SnapshotStatus::Ok) {
       std::fprintf(stderr, "rc-sim: --load-state %s: %s\n",
-                   o.load_state.c_str(), serr.c_str());
+                   o.load_state.c_str(), err.c_str());
       std::exit(2);
     }
     std::fprintf(stderr, "[rc-sim] resumed at cycle %llu from %s\n",
                  static_cast<unsigned long long>(sys.now()),
                  o.load_state.c_str());
   }
-
   const Cycle end = cfg.warmup_cycles + cfg.measure_cycles;
   if (sys.now() > end) {
     std::fprintf(stderr,
@@ -136,56 +127,30 @@ RunResult run(const Options& o, const SweepPoint& p) {
                  static_cast<unsigned long long>(end));
     std::exit(2);
   }
-  Cycle saveat = kNeverCycle;
   if (!o.save_state.empty()) {
-    saveat = o.save_at > 0 ? o.save_at : cfg.warmup_cycles;
-    if (saveat > end || saveat < sys.now()) {
+    // A save at the warm-up boundary holds the warm-up stats (run_to resets
+    // them only as the clock leaves it), so resuming it replays the reset.
+    const Cycle save_at = o.save_at > 0 ? o.save_at : cfg.warmup_cycles;
+    if (save_at > end || save_at < sys.now()) {
       std::fprintf(stderr,
                    "rc-sim: --save-at %llu is outside the simulated span "
                    "[%llu, %llu]\n",
-                   static_cast<unsigned long long>(saveat),
+                   static_cast<unsigned long long>(save_at),
                    static_cast<unsigned long long>(sys.now()),
                    static_cast<unsigned long long>(end));
       std::exit(2);
     }
-  }
-  auto to = [&](Cycle t) {
-    if (t > sys.now()) sys.run_cycles(t - sys.now());
-  };
-  auto do_save = [&]() {
-    std::string serr;
-    if (!save_snapshot(sys, o.save_state, &serr)) {
+    sys.run_to(save_at);
+    if (!save_snapshot(sys, o.save_state, &err)) {
       std::fprintf(stderr, "rc-sim: --save-state %s: %s\n",
-                   o.save_state.c_str(), serr.c_str());
+                   o.save_state.c_str(), err.c_str());
       std::exit(1);
     }
     std::fprintf(stderr, "[rc-sim] saved state at cycle %llu to %s\n",
                  static_cast<unsigned long long>(sys.now()),
                  o.save_state.c_str());
-  };
-
-  // Same sequence as System::run, with snapshot stops spliced in. A save
-  // landing exactly on the warm-up boundary happens *before* the stats
-  // reset, so resuming such a snapshot replays the reset — byte-identical
-  // to the uninterrupted run either way.
-  sys.prewarm();
-  if (sys.now() < cfg.warmup_cycles) {
-    if (saveat < cfg.warmup_cycles) {
-      to(saveat);
-      do_save();
-    }
-    to(cfg.warmup_cycles);
   }
-  if (sys.now() == cfg.warmup_cycles) {
-    if (saveat == cfg.warmup_cycles) do_save();
-    sys.reset_stats();
-  }
-  if (saveat != kNeverCycle && saveat > cfg.warmup_cycles) {
-    to(saveat);
-    do_save();
-  }
-  to(end);
-
+  sys.run_to(end);
   if (o.heatmap) print_heatmap(sys);
   return extract_result(sys, p.preset);
 }
@@ -324,8 +289,7 @@ int main(int argc, char** argv) {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    const std::string json =
-        point_result_json(r, p.protocol, p.seed, p.warmup, wall) + "\n";
+    const std::string json = point_result_json(r, p, wall) + "\n";
     if (!write_file_atomic(o.point_out, json, &err)) {
       std::fprintf(stderr, "cannot write %s: %s\n", o.point_out.c_str(),
                    err.c_str());

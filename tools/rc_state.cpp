@@ -83,8 +83,8 @@ void print_one(const std::string& path, const SnapshotHeader& h,
               static_cast<unsigned long long>(h.msgs_bytes));
   std::printf("  body            %llu bytes\n",
               static_cast<unsigned long long>(h.body_bytes));
-  std::printf("  warm-group hash %016llx\n",
-              static_cast<unsigned long long>(warm_group_hash(h.digest)));
+  std::printf("  warm-group hash %s\n",
+              warm_group_name(warm_group_hash(h.digest)).c_str());
   std::printf("  sections:\n");
   for (const auto& [tag, len] : dir)
     std::printf("    %-4s %llu bytes\n", tag.c_str(),

@@ -17,8 +17,9 @@
 // reset marker (end of warm-up), so the numbers line up with rc-sim's
 // aggregate counters; --all keeps the warm-up transient in view.
 //
-// Exit status: 0 on success, 2 on bad usage, an unreadable trace or an
-// unwritable output.
+// Exit status: 0 on success, 2 on bad usage, an unreadable trace, a line
+// that is not a JSON object (a truncated or corrupt trace; named as
+// path:line) or an unwritable output.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
